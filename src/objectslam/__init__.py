@@ -1,10 +1,12 @@
 """EKF SLAM with 6-DoF object landmarks.
 
-Public surface: group/Lie primitives, the invariant filter, the standard and
-ideal baselines, innovation gating, the simulator, consistency metrics,
-observability checks, and the experiment harness behind the CLI.
+Public surface: group/Lie primitives, one EKF parameterised by its error
+convention (INVARIANT, and STANDARD for the standard and ideal baselines),
+innovation gating, the simulator, consistency metrics, observability checks,
+and the experiment harness behind the CLI.
 """
 
+from .ekf import INVARIANT, STANDARD, Convention, apply_std_error, propagate_mean
 from .errors import (DimensionMismatchError, DuplicateFeatureError,
                      IllConditionedInnovationError, InvalidRotationError,
                      LogDomainError, MalformedRecordError,
@@ -19,17 +21,13 @@ from .harness import (FilterSpec, RunConfig, inject_outliers,
                       run_monte_carlo, synthesize_constant_velocity_odometry)
 from .lie import (left_jacobian, left_jacobian_inv, project_to_so3,
                   random_rotation, skew, so3_exp, so3_log)
-from .metrics import BLOCKS, ErrorSample, nees, riekf_error, rmse, std_error
+from .metrics import BLOCKS, ErrorSample, error_sample, nees, rmse
 from .observability import (JacobianLog, ObservabilityReport, SubspaceBasis,
                             build_observability_matrix, null_space,
                             check_invariant_null_space, check_standard_null_space)
-from .riekf import (apply_update, initialize_feature, innovation, propagate,
-                    update)
 from .simulator import (GroundTruthTrace, SimConfig, generate_trajectory,
                         generate_world, sample_noisy_odometry,
                         sample_observations, simulate_run, step_odometry)
-from .stdekf import (std_initialize_feature, std_innovation, std_propagate,
-                     std_update)
 from .types import FilterState, Innovation, Odometry, PoseObservation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

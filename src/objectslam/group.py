@@ -58,10 +58,6 @@ class GroupState:
     def index_of(self, feature_id) -> int:
         return self.feature_ids.index(feature_id)
 
-    def feature_pose(self, feature_id):
-        j = self.index_of(feature_id)
-        return self.feature_rots[j], self.feature_pos[j]
-
 
 def identity_state(feature_ids: tuple = ()) -> GroupState:
     k = len(feature_ids)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import riekf, stdekf
+from .ekf import INVARIANT, STANDARD, Convention, apply_std_error, propagate_mean
 from .errors import IllConditionedInnovationError, LogDomainError
 from .gating import gate
 from .group import (GroupState, group_compose, group_exp, group_minus,
@@ -23,8 +23,7 @@ from .lie import (batch_left_jacobian, batch_so3_exp, batch_so3_log,
                   random_rotation, so3_exp, so3_log)
 from .metrics import BLOCKS, collect_samples, nees, rmse, standard_error_vector
 from .observability import JacobianLog, check_invariant_null_space, check_standard_null_space
-from .simulator import (SimConfig, SimulatedRun, _noise_factor,
-                        generate_world, simulate_run)
+from .simulator import SimConfig, _noise_factor, generate_world, simulate_run
 from .types import FilterState, Odometry, PoseObservation, initial_filter_state
 
 FILTER_KINDS = ("riekf", "stdekf", "ideal")
@@ -44,8 +43,8 @@ class FilterSpec:
         return ("robust-" if self.robust else "") + self.kind
 
     @property
-    def convention(self) -> str:
-        return "invariant" if self.kind == "riekf" else "standard"
+    def convention(self) -> Convention:
+        return INVARIANT if self.kind == "riekf" else STANDARD
 
 
 @dataclass
@@ -64,48 +63,30 @@ class RunResult:
         return sum(1 for g in self.gates if not g[2])
 
 
-def _propagate(spec: FilterSpec, state: FilterState, u: Odometry,
-               lin: GroupState | None):
-    if spec.kind == "riekf":
-        f, _ = riekf.propagation_jacobians(state, u)
-        return riekf.propagate(state, u), f
-    f, _ = stdekf.std_propagation_jacobians(state, u, lin)
-    return stdekf.std_propagate(state, u, lin), f
-
-
 def _process_observation(spec: FilterSpec, state: FilterState,
                          z: PoseObservation, lin: GroupState | None,
                          gates: list, step: int) -> FilterState:
+    conv = spec.convention
     if z.feature_id not in state.mean.feature_ids:
-        if spec.kind == "riekf":
-            return riekf.initialize_feature(state, z)
-        return stdekf.std_initialize_feature(state, z)
-    if spec.kind == "riekf":
-        inn = riekf.innovation(state, z)
-        apply = riekf.apply_update
-    else:
-        inn = stdekf.std_innovation(state, z, lin)
-        apply = stdekf.std_apply_update
+        return conv.initialize_feature(state, z)
+    inn = conv.innovation(state, z, lin)
     if spec.robust:
         decision = gate(inn)
         gates.append((step, z.feature_id, decision.accepted,
                       float(np.max(decision.margins))))
         if not decision.accepted:
             return state
-    return apply(state, inn)
+    return conv.apply_update(state, inn)
 
 
-def _prediction_jacobian(spec: FilterSpec, state: FilterState,
+def _prediction_jacobian(conv: Convention, state: FilterState,
                          obs_list: list, lin: GroupState | None):
     rows = []
     for z in obs_list:
         if z.feature_id not in state.mean.feature_ids:
             continue
         j = state.mean.index_of(z.feature_id)
-        if spec.kind == "riekf":
-            rows.append(riekf.observation_jacobian(state.mean, j))
-        else:
-            rows.append(stdekf.std_observation_jacobian(state.mean, j, lin))
+        rows.append(conv.observation_jacobian(state.mean, j, lin))
     return np.vstack(rows) if rows else None
 
 
@@ -136,7 +117,9 @@ def run_filter(spec: FilterSpec, odometry: list, observations: list,
     metric sampling need truth_states. Jacobian capture starts on the first
     step after the state reaches expected_features features.
     """
-    if spec.kind == "ideal" and truth_states is None:
+    conv = spec.convention
+    ideal = spec.kind == "ideal"
+    if ideal and truth_states is None:
         raise ValueError("ideal filter needs ground-truth states")
     if eval_steps and truth_states is None:
         raise ValueError("metric sampling needs ground-truth states")
@@ -149,18 +132,19 @@ def run_filter(spec: FilterSpec, odometry: list, observations: list,
     log_start = 0
     num_steps = len(observations) - 1
     for step in range(num_steps + 1):
-        lin_prev = truth_states[step - 1] if spec.kind == "ideal" else None
-        lin_here = truth_states[step] if spec.kind == "ideal" else None
+        lin_prev = truth_states[step - 1] if ideal else None
+        lin_here = truth_states[step] if ideal else None
         if step > 0:
-            state, f = _propagate(spec, state, odometry[step - 1], lin_prev)
+            u = odometry[step - 1]
             # F entries are transitions between logged steps, so the first one
             # is recorded only once an H entry exists
             if jac_active and log_h and len(log_f) < len(log_h):
-                log_f.append(f)
+                log_f.append(conv.propagation_jacobians(state, u, lin_prev)[0])
+            state = conv.propagate(state, u, lin_prev)
         if jac_active and (max_logged_steps is None or len(log_h) < max_logged_steps):
             if not log_h:
                 log_start = step
-            log_h.append(_prediction_jacobian(spec, state, observations[step],
+            log_h.append(_prediction_jacobian(conv, state, observations[step],
                                               lin_here))
         try:
             for z in observations[step]:
@@ -184,7 +168,7 @@ def run_filter(spec: FilterSpec, odometry: list, observations: list,
         if step in eval_steps:
             try:
                 result.metric_samples[step] = collect_samples(
-                    truth_states[step], state, spec.convention,
+                    truth_states[step], state, conv,
                     label=f"step{step}")
             except LogDomainError as exc:
                 result.diverged = True
@@ -192,7 +176,7 @@ def run_filter(spec: FilterSpec, odometry: list, observations: list,
                 break
     result.final_state = state
     if capture_jacobians:
-        mode = "ideal" if spec.kind == "ideal" else "estimated"
+        mode = "ideal" if ideal else "estimated"
         log = JacobianLog(spec.kind, mode, expected_features,
                           start_step=log_start)
         while log_h and len(log_f) < len(log_h):
@@ -241,7 +225,7 @@ def replay_log(spec: FilterSpec, steps: dict, synth_noise_cov=None,
                         f"step {step} has no odometry record; constant-velocity "
                         "synthesis needs an explicit noise covariance")
                 u = synthesize_constant_velocity_odometry(trajectory, synth_noise_cov)
-            state, _ = _propagate(spec, state, u, None)
+            state = spec.convention.propagate(state, u)
         if rec is not None:
             try:
                 for z in rec.observations:
@@ -322,44 +306,11 @@ class RunConfig:
     jobs: int = 1
 
 
-def _simulate_scaled(cfg: SimConfig, world: GroupState,
-                     rng: np.random.Generator, noise_scale: float) -> SimulatedRun:
-    run = simulate_run(cfg, world, rng)
-    if noise_scale == 1.0:
-        return run
-    trace = run.trace
-    odoms = []
-    noises = noise_scale * run.odom_noise
-    for i, w in enumerate(noises):
-        u = trace.odometry[i]
-        odoms.append(Odometry(so3_exp(w[0:3]) @ u.rot, u.pos + w[3:6], cfg.sigma))
-    observations = []
-    rt_list = [s.robot_rot.T for s in trace.states]
-    for step, obs_list in enumerate(run.observations):
-        scaled = []
-        truth = trace.states[step]
-        for z in obs_list:
-            j = truth.index_of(z.feature_id)
-            exact_rot = rt_list[step] @ truth.feature_rots[j]
-            exact_pos = rt_list[step] @ (truth.feature_pos[j] - truth.robot_pos)
-            if noise_scale == 0.0:
-                scaled.append(PoseObservation(z.feature_id, exact_rot,
-                                              exact_pos, cfg.omega))
-            else:
-                v_rot = noise_scale * so3_log(z.rot @ exact_rot.T)
-                v_pos = noise_scale * (z.pos - exact_pos)
-                scaled.append(PoseObservation(
-                    z.feature_id, so3_exp(v_rot) @ exact_rot,
-                    exact_pos + v_pos, cfg.omega))
-        observations.append(scaled)
-    return SimulatedRun(trace, odoms, observations, noises)
-
-
 def _mc_worker(args):
     cfg, world, run_index, capture = args
     rng = np.random.default_rng((cfg.seed
                                  if cfg.seed is not None else cfg.sim.seed) + run_index)
-    sim = _simulate_scaled(cfg.sim, world, rng, cfg.noise_scale)
+    sim = simulate_run(cfg.sim, world, rng, cfg.noise_scale)
     n = cfg.sim.num_steps
     eval_steps = set(range(cfg.eval_stride, n + 1, cfg.eval_stride)) | {n}
     out = {}
@@ -486,7 +437,7 @@ def observability_experiment(kind: str, num_features: int, steps: int,
                     placement="central")
     rng = np.random.default_rng(seed)
     world = generate_world(cfg, rng)
-    run = _simulate_scaled(cfg, world, rng, 1.0 if noisy else 0.0)
+    run = simulate_run(cfg, world, rng, 1.0 if noisy else 0.0)
     spec = FilterSpec(kind)
     result = run_filter(spec, run.odometry, run.observations, run.trace.states,
                         capture_jacobians=True, expected_features=num_features,
@@ -594,32 +545,32 @@ def jacobian_check_suite(seed: int = 0, num_states: int = 100,
         j = int(rng.integers(0, k))
         omega = np.diag(rng.uniform(0.01, 0.1, size=6) ** 2)
         z = _exact_observation(mean, j, omega)
-        pred = riekf.propagate_mean(mean, u)
+        pred = propagate_mean(mean, u)
 
         # invariant filter: F (identity), G, H
-        f_ri, g_ri = riekf.propagation_jacobians(state, u)
+        f_ri, g_ri = INVARIANT.propagation_jacobians(state, u)
         f_ri = pick("ri.F", f_ri)
         g_ri = pick("ri.G", g_ri)
         fd = _numeric_jacobian(
             lambda xi: _invariant_error(
-                riekf.propagate_mean(_perturb_invariant(mean, xi), u), pred), d)
+                propagate_mean(_perturb_invariant(mean, xi), u), pred), d)
         fd_errors["ri.F"] = max(fd_errors["ri.F"], rel(f_ri, fd))
         fd = _numeric_jacobian(
             lambda w: _invariant_error(
-                riekf.propagate_mean(mean, _noisy_odometry_of(u, w)), pred), 6)
+                propagate_mean(mean, _noisy_odometry_of(u, w)), pred), 6)
         fd_errors["ri.G"] = max(fd_errors["ri.G"], rel(g_ri, fd))
-        h_ri = pick("ri.H", riekf.observation_jacobian(mean, j))
+        h_ri = pick("ri.H", INVARIANT.observation_jacobian(mean, j))
 
         def y_of_xi(xi, _stdh=False):
             true_state = _perturb_invariant(mean, xi) if not _stdh \
-                else stdekf.apply_std_error(mean, xi)
+                else apply_std_error(mean, xi)
             z_true = _exact_observation(
                 GroupState(true_state.robot_rot, true_state.robot_pos,
                            true_state.feature_rots, true_state.feature_pos,
                            mean.feature_ids), j, omega)
             if _stdh:
-                return stdekf.std_innovation(state, z_true).y
-            return riekf.innovation(state, z_true).y
+                return STANDARD.innovation(state, z_true).y
+            return INVARIANT.innovation(state, z_true).y
 
         fd = _numeric_jacobian(y_of_xi, d)
         fd_errors["ri.H"] = max(fd_errors["ri.H"], rel(h_ri, fd))
@@ -627,9 +578,9 @@ def jacobian_check_suite(seed: int = 0, num_states: int = 100,
         # invariant augmentation [A | B] for a first-seen feature
         z_new = PoseObservation("new", random_rotation(rng),
                                 rng.normal(size=3), omega)
-        a_ri, b_ri = riekf.augmentation_jacobians(state, z_new)
+        a_ri, b_ri = INVARIANT.augmentation_jacobians(state, z_new)
         ab = pick("ri.aug", np.hstack([a_ri, b_ri]))
-        est_aug_ri = riekf.initialize_feature(state, z_new).mean
+        est_aug_ri = INVARIANT.initialize_feature(state, z_new).mean
 
         def aug_err_ri(xiv):
             xi, v = xiv[:d], xiv[d:]
@@ -641,29 +592,29 @@ def jacobian_check_suite(seed: int = 0, num_states: int = 100,
         fd_errors["ri.aug"] = max(fd_errors["ri.aug"], rel(ab, fd))
 
         # standard filter: F, G, H (linearized at the estimate == truth here)
-        f_std, g_std = stdekf.std_propagation_jacobians(state, u)
+        f_std, g_std = STANDARD.propagation_jacobians(state, u)
         f_std = pick("std.F", f_std)
         g_std = pick("std.G", g_std)
         fd = _numeric_jacobian(
             lambda eta: standard_error_vector(
-                riekf.propagate_mean(stdekf.apply_std_error(mean, eta), u), pred), d)
+                propagate_mean(apply_std_error(mean, eta), u), pred), d)
         fd_errors["std.F"] = max(fd_errors["std.F"], rel(f_std, fd))
         fd = _numeric_jacobian(
             lambda w: standard_error_vector(
-                riekf.propagate_mean(mean, _noisy_odometry_of(u, w)), pred), 6)
+                propagate_mean(mean, _noisy_odometry_of(u, w)), pred), 6)
         fd_errors["std.G"] = max(fd_errors["std.G"], rel(g_std, fd))
-        h_std = pick("std.H", stdekf.std_observation_jacobian(mean, j))
+        h_std = pick("std.H", STANDARD.observation_jacobian(mean, j))
         fd = _numeric_jacobian(lambda eta: y_of_xi(eta, _stdh=True), d)
         fd_errors["std.H"] = max(fd_errors["std.H"], rel(h_std, fd))
 
         # standard augmentation [A | B]
-        a_std, b_std = stdekf.std_augmentation_jacobians(state, z_new)
+        a_std, b_std = STANDARD.augmentation_jacobians(state, z_new)
         ab_std = pick("std.aug", np.hstack([a_std, b_std]))
-        est_aug_std = stdekf.std_initialize_feature(state, z_new).mean
+        est_aug_std = STANDARD.initialize_feature(state, z_new).mean
 
         def aug_err_std(xiv):
             eta, v = xiv[:d], xiv[d:]
-            true_state = stdekf.apply_std_error(mean, eta)
+            true_state = apply_std_error(mean, eta)
             return standard_error_vector(
                 _augmented_truth(true_state, z_new, v), est_aug_std)
 
@@ -671,20 +622,17 @@ def jacobian_check_suite(seed: int = 0, num_states: int = 100,
         fd_errors["std.aug"] = max(fd_errors["std.aug"], rel(ab_std, fd))
 
     sampling = {}
-    for convention in ("invariant", "standard"):
+    for conv in (INVARIANT, STANDARD):
         state = _random_state(rng, 1)
         state = FilterState(state.mean,
                             0.005 ** 2 * np.eye(tangent_dim(1))
                             + 0.003 ** 2 * np.ones((tangent_dim(1),) * 2) / 12)
         omega = np.diag(rng.uniform(0.004, 0.01, size=6) ** 2)
         z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), omega)
-        if convention == "invariant":
-            analytic = riekf.initialize_feature(state, z).cov
-        else:
-            analytic = stdekf.std_initialize_feature(state, z).cov
-        emp = sample_augmented_covariance(state, z, convention,
+        analytic = conv.initialize_feature(state, z).cov
+        emp = sample_augmented_covariance(state, z, conv.name,
                                           sampling_samples, rng)
-        sampling[f"{convention}.P_aug"] = float(
+        sampling[f"{conv.name}.P_aug"] = float(
             np.linalg.norm(emp - analytic) / np.linalg.norm(analytic))
 
     fd_pass = all(v < 1e-4 for v in fd_errors.values())

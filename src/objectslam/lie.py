@@ -12,7 +12,6 @@ import numpy as np
 from .errors import InvalidRotationError, LogDomainError
 
 SMALL_ANGLE = 1e-4
-ORTHONORMALITY_TOL = 1e-9
 
 _I3 = np.eye(3)
 _I3.setflags(write=False)
@@ -37,12 +36,6 @@ def _det3(m) -> float:
 def _orthonormality_error(r) -> float:
     d = r @ r.T - _I3
     return math.sqrt(float((d * d).sum()))
-
-
-def is_rotation(r: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> bool:
-    if r.shape != (3, 3):
-        return False
-    return (_orthonormality_error(r) <= tol and abs(_det3(r) - 1.0) <= tol)
 
 
 def require_rotation(r: np.ndarray, tol: float = 1e-6) -> np.ndarray:

@@ -93,8 +93,10 @@ def standard_error_vector(true: GroupState, est_mean: GroupState) -> np.ndarray:
     return eta
 
 
-def _extract(full_error: np.ndarray, est: FilterState, block: str,
-             feature_id, label: str) -> ErrorSample:
+def error_sample(convention, true: GroupState, est: FilterState, block: str,
+                 feature_id=None, label: str = "") -> ErrorSample:
+    """Error sample for one block under convention.error (an ekf.Convention)."""
+    full_error = convention.error(true, est.mean)
     k = est.mean.num_features
     j = est.mean.index_of(feature_id) if feature_id is not None else 0
     if block.startswith("feature") and feature_id is None:
@@ -103,33 +105,18 @@ def _extract(full_error: np.ndarray, est: FilterState, block: str,
     return ErrorSample(full_error[idx], est.cov[np.ix_(idx, idx)], block, label)
 
 
-def riekf_error(true: GroupState, est: FilterState, block: str,
-                feature_id=None, label: str = "") -> ErrorSample:
-    """Invariant-convention error sample for one block."""
-    return _extract(invariant_error_vector(true, est.mean), est, block,
-                    feature_id, label)
-
-
-def std_error(true: GroupState, est: FilterState, block: str,
-              feature_id=None, label: str = "") -> ErrorSample:
-    """Standard-convention error sample for one block."""
-    return _extract(standard_error_vector(true, est.mean), est, block,
-                    feature_id, label)
-
-
-def collect_samples(true: GroupState, est: FilterState, convention: str,
+def collect_samples(true: GroupState, est: FilterState, convention,
                     label: str = "") -> dict:
     """One NEES sample set and one RMSE error set per block.
 
-    NEES errors follow the requested convention ("invariant" for the invariant
-    filter, "standard" otherwise); RMSE errors are always standard. Feature
-    blocks pool every tracked feature. The full error vectors are computed
-    once and sliced per block.
+    NEES errors come from convention.error, the error map of the filter's
+    ekf.Convention; RMSE errors are always standard. Feature blocks pool every
+    tracked feature. The full error vectors are computed once and sliced per
+    block.
     """
     k = est.mean.num_features
     std_full = standard_error_vector(true, est.mean)
-    nees_full = invariant_error_vector(true, est.mean) \
-        if convention == "invariant" else std_full
+    nees_full = convention.error(true, est.mean)
     nees_samples = {b: [] for b in BLOCKS}
     rmse_errors = {b: [] for b in BLOCKS}
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .ekf import propagate_mean
 from .group import GroupState
 from .lie import random_rotation, so3_exp
-from .riekf import propagate_mean
 from .types import Odometry, PoseObservation
 
 
@@ -187,19 +187,21 @@ def sample_observations(true_state: GroupState, cfg: SimConfig,
     return obs
 
 
-def simulate_run(cfg: SimConfig, world: GroupState,
-                 rng: np.random.Generator) -> SimulatedRun:
+def simulate_run(cfg: SimConfig, world: GroupState, rng: np.random.Generator,
+                 noise_scale: float = 1.0) -> SimulatedRun:
     """Full noisy realization over the configured number of steps.
 
     observations[n] belong to the true state at step n (n = 0 .. N);
-    odometry[n] moves step n to n+1.
+    odometry[n] moves step n to n+1. noise_scale multiplies the drawn noise
+    (0 gives exact measurements); the generator is consumed the same way for
+    every scale.
     """
     trace = generate_trajectory(cfg, world)
     n = cfg.num_steps
     odoms = []
     noises = np.zeros((n, 6))
-    sigma_factor = _noise_factor(cfg.sigma)
-    omega_factor = _noise_factor(cfg.omega)
+    sigma_factor = noise_scale * _noise_factor(cfg.sigma)
+    omega_factor = noise_scale * _noise_factor(cfg.omega)
     observations = [sample_observations(trace.states[0], cfg, rng,
                                         _factor=omega_factor)]
     for i in range(n):

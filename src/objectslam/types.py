@@ -51,7 +51,7 @@ class Innovation:
     y: np.ndarray
     H: np.ndarray
     S: np.ndarray
-    HP: np.ndarray | None = None
+    HP: np.ndarray
 
 
 def initial_filter_state() -> FilterState:

@@ -8,10 +8,11 @@ import time
 import numpy as np
 import pytest
 
+from objectslam.ekf import INVARIANT, STANDARD
 from objectslam.group import (group_compose, group_exp, group_inverse,
                               group_log, rot_block, tangent_dim)
-from objectslam.harness import (FilterSpec, RunConfig, _simulate_scaled,
-                                inject_outliers, jacobian_check_suite,
+from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
+                                jacobian_check_suite,
                                 observability_experiment, replay_log,
                                 run_filter, run_monte_carlo,
                                 sample_augmented_covariance)
@@ -20,9 +21,7 @@ from objectslam.metrics import BLOCKS, standard_error_vector
 from objectslam.observability import (build_observability_matrix,
                                       invariant_gauge_basis, null_space,
                                       std_ideal_gauge_basis, check_standard_null_space)
-from objectslam.riekf import initialize_feature
-from objectslam.simulator import SimConfig, generate_world
-from objectslam.stdekf import std_initialize_feature
+from objectslam.simulator import SimConfig, generate_world, simulate_run
 from objectslam.types import PoseObservation
 
 from test_group import embed, embed_algebra, matrix_series_exp, random_state
@@ -138,8 +137,8 @@ def test_criterion_5_jacobian_oracles():
 def test_criterion_6_augmentation_covariance():
     rng = np.random.default_rng(3)
     results = {}
-    for convention, init in (("invariant", initialize_feature),
-                             ("standard", std_initialize_feature)):
+    for convention, init in (("invariant", INVARIANT.initialize_feature),
+                             ("standard", STANDARD.initialize_feature)):
         state = random_filter_state(rng, k=1, cov_scale=0.004)
         omega = np.diag(rng.uniform(0.003, 0.01, size=6) ** 2)
         z = PoseObservation("new", random_rotation(rng), rng.normal(size=3),
@@ -208,7 +207,7 @@ def test_criterion_7_lie_property_suite():
 def test_criterion_8_robust_gating():
     cfg = SimConfig(seed=SEED)
     world = generate_world(cfg, np.random.default_rng(SEED))
-    run = _simulate_scaled(cfg, world, np.random.default_rng(SEED), 1.0)
+    run = simulate_run(cfg, world, np.random.default_rng(SEED), 1.0)
 
     clean = run_filter(FilterSpec("riekf", robust=True), run.odometry,
                        run.observations, run.trace.states)
@@ -247,7 +246,7 @@ def test_criterion_8_robust_gating():
 def test_criterion_9_zero_noise_sanity():
     cfg = SimConfig(seed=SEED)
     world = generate_world(cfg, np.random.default_rng(SEED))
-    run = _simulate_scaled(cfg, world, np.random.default_rng(SEED), 0.0)
+    run = simulate_run(cfg, world, np.random.default_rng(SEED), 0.0)
     worst = 0.0
     variants = [FilterSpec(k, robust=r) for k in ("riekf", "stdekf", "ideal")
                 for r in (False, True)]

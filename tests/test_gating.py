@@ -6,7 +6,7 @@ from objectslam.types import Innovation
 
 def make_innovation(y, s):
     return Innovation(np.asarray(y, dtype=float), np.zeros((6, 12)),
-                      np.asarray(s, dtype=float))
+                      np.asarray(s, dtype=float), np.zeros((6, 12)))
 
 
 def test_zero_innovation_accepted():
@@ -51,7 +51,6 @@ def test_acceptance_rate_of_consistent_innovations():
 
 
 def test_gate_scale_consistency():
-    rng = np.testing.suppress_warnings()
     gen = np.random.default_rng(1)
     for _ in range(100):
         a = gen.normal(size=(6, 6))

@@ -2,22 +2,23 @@ import numpy as np
 import pytest
 
 from objectslam.group import GroupState
-from objectslam.harness import (FilterSpec, RunConfig, _simulate_scaled,
-                                inject_outliers, jacobian_check_suite,
-                                replay_log, run_filter, run_monte_carlo,
+from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
+                                jacobian_check_suite, replay_log, run_filter,
+                                run_monte_carlo,
                                 synthesize_constant_velocity_odometry)
 from objectslam.lie import random_rotation
 from objectslam.logio import read_measurement_log, write_measurement_log
 from objectslam.metrics import standard_error_vector
-from objectslam.simulator import SimConfig, generate_world, sample_observations
+from objectslam.simulator import (SimConfig, generate_world,
+                                  sample_observations, simulate_run)
 from objectslam.types import PoseObservation
 
 
 def small_sim(seed=0, loops=1, noise_scale=1.0, num_features=6):
     cfg = SimConfig(loops=loops, seed=seed, num_features=num_features)
     world = generate_world(cfg, np.random.default_rng(seed))
-    return cfg, _simulate_scaled(cfg, world, np.random.default_rng(seed),
-                                 noise_scale)
+    return cfg, simulate_run(cfg, world, np.random.default_rng(seed),
+                             noise_scale)
 
 
 def test_run_filter_deterministic():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from objectslam.ekf import INVARIANT, STANDARD
 from objectslam.errors import SingularCovarianceError
 from objectslam.group import (GroupState, group_compose, group_exp, group_log,
                               group_minus, pos_block, rot_block, tangent_dim)
 from objectslam.lie import so3_exp, so3_log
-from objectslam.metrics import (BLOCKS, ErrorSample, collect_samples, nees,
-                                riekf_error, rmse, std_error)
+from objectslam.metrics import (BLOCKS, ErrorSample, collect_samples,
+                                error_sample, nees, rmse)
 from objectslam.types import FilterState
 
 from test_riekf import random_filter_state
@@ -65,7 +66,7 @@ def test_rmse_matches_direct_formula():
 def test_riekf_error_zero_for_exact_estimate():
     rng = np.random.default_rng(3)
     state = random_filter_state(rng, k=2)
-    s = riekf_error(state.mean, state, "robot-pose")
+    s = error_sample(INVARIANT, state.mean, state, "robot-pose")
     assert np.allclose(s.e, 0.0, atol=1e-12)
 
 
@@ -78,7 +79,7 @@ def test_riekf_error_pure_translation():
     state = FilterState(mean, state.cov)
     true = GroupState(np.eye(3), np.array([0.2, 0.0, 0.0]),
                       mean.feature_rots.copy(), mean.feature_pos.copy(), ("f0",))
-    s = riekf_error(true, state, "robot-pos")
+    s = error_sample(INVARIANT, true, state, "robot-pos")
     assert np.allclose(s.e, [0.2, 0.0, 0.0], atol=1e-14)
 
 
@@ -91,10 +92,10 @@ def test_riekf_error_matches_independent_minus_then_log():
     full = group_log(group_minus(true, state.mean))
     for block, idx in (("robot-rot", rot_block(0)),
                        ("robot-pos", pos_block(0, 2))):
-        s = riekf_error(true, state, block)
+        s = error_sample(INVARIANT, true, state, block)
         assert np.allclose(s.e, full[idx], atol=1e-12)
         assert np.allclose(s.P, state.cov[idx, idx], atol=1e-15)
-    s = riekf_error(true, state, "feature-rot", feature_id="f1")
+    s = error_sample(INVARIANT, true, state, "feature-rot", feature_id="f1")
     assert np.allclose(s.e, full[rot_block(2)], atol=1e-12)
 
 
@@ -106,11 +107,12 @@ def test_std_error_conventions():
     true = GroupState(delta_rot @ mean.robot_rot, mean.robot_pos + [0.1, 0, 0],
                       mean.feature_rots.copy(), mean.feature_pos + [0, 0.2, 0],
                       mean.feature_ids)
-    assert np.allclose(std_error(true, state, "robot-rot").e,
+    assert np.allclose(error_sample(STANDARD, true, state, "robot-rot").e,
                        so3_log(delta_rot), atol=1e-12)
-    assert np.allclose(std_error(true, state, "robot-pos").e, [0.1, 0, 0],
-                       atol=1e-14)
-    assert np.allclose(std_error(true, state, "feature-pos", feature_id="f0").e,
+    assert np.allclose(error_sample(STANDARD, true, state, "robot-pos").e,
+                       [0.1, 0, 0], atol=1e-14)
+    assert np.allclose(error_sample(STANDARD, true, state, "feature-pos",
+                                    feature_id="f0").e,
                        [0, 0.2, 0], atol=1e-14)
 
 
@@ -120,7 +122,7 @@ def test_std_error_matches_duplicate_implementation():
     true = group_compose(group_exp(0.2 * rng.normal(size=tangent_dim(2)),
                                    state.mean.feature_ids), state.mean)
     for j, fid in enumerate(state.mean.feature_ids):
-        s = std_error(true, state, "feature-pose", feature_id=fid)
+        s = error_sample(STANDARD, true, state, "feature-pose", feature_id=fid)
         expected = np.concatenate([
             so3_log(true.feature_rots[j] @ state.mean.feature_rots[j].T),
             true.feature_pos[j] - state.mean.feature_pos[j]])
@@ -134,14 +136,14 @@ def test_rmse_always_uses_standard_convention():
     state = random_filter_state(rng, k=1)
     true = group_compose(group_exp(0.3 * rng.normal(size=12),
                                    state.mean.feature_ids), state.mean)
-    out = collect_samples(true, state, "invariant")
-    std_robot_rot = std_error(true, state, "robot-rot").e
-    ri_robot_rot = riekf_error(true, state, "robot-rot").e
+    out = collect_samples(true, state, INVARIANT)
+    std_robot_rot = error_sample(STANDARD, true, state, "robot-rot").e
+    ri_robot_rot = error_sample(INVARIANT, true, state, "robot-rot").e
     assert np.allclose(out["rmse"]["robot-rot"][0], std_robot_rot, atol=1e-12)
     assert np.allclose(out["nees"]["robot-rot"][0].e, ri_robot_rot, atol=1e-12)
     # with a rotated frame the two conventions genuinely differ on positions
-    assert not np.allclose(std_error(true, state, "robot-pos").e,
-                           riekf_error(true, state, "robot-pos").e)
+    assert not np.allclose(error_sample(STANDARD, true, state, "robot-pos").e,
+                           error_sample(INVARIANT, true, state, "robot-pos").e)
 
 
 def test_collect_samples_covers_all_blocks_and_features():
@@ -149,7 +151,7 @@ def test_collect_samples_covers_all_blocks_and_features():
     state = random_filter_state(rng, k=3)
     true = group_compose(group_exp(0.1 * rng.normal(size=tangent_dim(3)),
                                    state.mean.feature_ids), state.mean)
-    out = collect_samples(true, state, "standard")
+    out = collect_samples(true, state, STANDARD)
     for b in BLOCKS:
         expected = 3 if b.startswith("feature") else 1
         assert len(out["nees"][b]) == expected

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from objectslam.ekf import INVARIANT, propagate_mean
 from objectslam.errors import (DuplicateFeatureError,
                                IllConditionedInnovationError,
                                UnknownFeatureError)
@@ -8,9 +9,6 @@ from objectslam.group import (GroupState, group_compose, group_exp, group_log,
                               group_minus, pos_block, rot_block, tangent_dim)
 from objectslam.harness import (_numeric_jacobian, sample_augmented_covariance)
 from objectslam.lie import random_rotation, skew, so3_exp, so3_log
-from objectslam.riekf import (augmentation_jacobians, initialize_feature,
-                              innovation, observation_jacobian, propagate,
-                              propagate_mean, propagation_jacobians, update)
 from objectslam.types import FilterState, Odometry, PoseObservation
 
 
@@ -35,7 +33,7 @@ def test_propagate_identity_odometry_zero_noise():
     rng = np.random.default_rng(0)
     state = random_filter_state(rng)
     u = Odometry(np.eye(3), np.zeros(3), np.zeros((6, 6)))
-    out = propagate(state, u)
+    out = INVARIANT.propagate(state, u)
     assert np.allclose(out.mean.robot_rot, state.mean.robot_rot, atol=1e-15)
     assert np.allclose(out.mean.robot_pos, state.mean.robot_pos, atol=1e-15)
     assert np.allclose(out.cov, state.cov, atol=1e-15)
@@ -46,7 +44,7 @@ def test_propagation_state_jacobian_is_identity_bit_exact():
     for _ in range(20):
         state = random_filter_state(rng, k=int(rng.integers(0, 4)))
         u = Odometry(random_rotation(rng), rng.normal(size=3), np.eye(6))
-        f, _ = propagation_jacobians(state, u)
+        f, _ = INVARIANT.propagation_jacobians(state, u)
         assert np.array_equal(f, np.eye(tangent_dim(state.mean.num_features)))
 
 
@@ -54,7 +52,7 @@ def test_noise_jacobian_block_structure():
     rng = np.random.default_rng(2)
     state = random_filter_state(rng, k=2)
     u = Odometry(random_rotation(rng), rng.normal(size=3), np.eye(6))
-    _, g = propagation_jacobians(state, u)
+    _, g = INVARIANT.propagation_jacobians(state, u)
     r = state.mean.robot_rot
     k = 2
     assert np.allclose(g[rot_block(0), 0:3], r)
@@ -76,7 +74,7 @@ def test_noise_jacobian_matches_finite_differences():
         mean = state.mean
         u = Odometry(random_rotation(rng), rng.normal(size=3), np.eye(6))
         pred = propagate_mean(mean, u)
-        _, g = propagation_jacobians(state, u)
+        _, g = INVARIANT.propagation_jacobians(state, u)
 
         def error_of_noise(w):
             noisy = Odometry(so3_exp(w[0:3]) @ u.rot, u.pos + w[3:6], u.noise_cov)
@@ -90,14 +88,14 @@ def test_innovation_zero_for_perfect_prediction():
     rng = np.random.default_rng(4)
     state = random_filter_state(rng)
     z = exact_observation(state.mean, "f1", 0.01 * np.eye(6))
-    inn = innovation(state, z)
+    inn = INVARIANT.innovation(state, z)
     assert np.allclose(inn.y, 0.0, atol=1e-12)
 
 
 def test_innovation_jacobian_blocks():
     rng = np.random.default_rng(5)
     state = random_filter_state(rng, k=3)
-    h = observation_jacobian(state.mean, 1)
+    h = INVARIANT.observation_jacobian(state.mean, 1)
     rt = state.mean.robot_rot.T
     k = 3
     assert np.allclose(h[0:3, rot_block(0)], -rt)
@@ -121,8 +119,8 @@ def test_innovation_jacobian_independent_of_positions():
         GroupState(state.mean.robot_rot, rng.normal(size=3),
                    state.mean.feature_rots, rng.normal(size=(2, 3)),
                    state.mean.feature_ids), state.cov)
-    assert np.array_equal(observation_jacobian(state.mean, 0),
-                          observation_jacobian(moved.mean, 0))
+    assert np.array_equal(INVARIANT.observation_jacobian(state.mean, 0),
+                          INVARIANT.observation_jacobian(moved.mean, 0))
 
 
 def test_innovation_jacobian_matches_finite_differences():
@@ -133,11 +131,12 @@ def test_innovation_jacobian_matches_finite_differences():
         mean = state.mean
         fid = mean.feature_ids[int(rng.integers(0, k))]
         omega = 0.01 * np.eye(6)
-        h = observation_jacobian(mean, mean.index_of(fid))
+        h = INVARIANT.observation_jacobian(mean, mean.index_of(fid))
 
         def y_of_error(xi):
             true_state = group_compose(group_exp(xi, mean.feature_ids), mean)
-            return innovation(state, exact_observation(true_state, fid, omega)).y
+            return INVARIANT.innovation(
+                state, exact_observation(true_state, fid, omega)).y
 
         fd = _numeric_jacobian(y_of_error, tangent_dim(k))
         assert np.linalg.norm(fd - h) / np.linalg.norm(h) < 1e-5
@@ -147,7 +146,7 @@ def test_update_zero_innovation_keeps_mean_and_shrinks_cov():
     rng = np.random.default_rng(8)
     state = random_filter_state(rng)
     z = exact_observation(state.mean, "f0", 0.01 * np.eye(6))
-    out = update(state, z)
+    out = INVARIANT.update(state, z)
     assert np.allclose(out.mean.robot_rot, state.mean.robot_rot, atol=1e-12)
     assert np.allclose(out.mean.robot_pos, state.mean.robot_pos, atol=1e-12)
     assert np.trace(out.cov) < np.trace(state.cov)
@@ -158,7 +157,7 @@ def test_update_never_increases_diagonal_on_perfect_prediction():
     for _ in range(50):
         state = random_filter_state(rng)
         z = exact_observation(state.mean, "f1", 0.02 * np.eye(6))
-        out = update(state, z)
+        out = INVARIANT.update(state, z)
         assert np.all(np.diag(out.cov) <= np.diag(state.cov) + 1e-12)
 
 
@@ -169,7 +168,7 @@ def test_update_with_huge_noise_is_noop():
         group_exp(0.05 * rng.normal(size=tangent_dim(2)), state.mean.feature_ids),
         state.mean)
     z = exact_observation(true_state, "f0", 1e12 * 0.01 * np.eye(6))
-    out = update(state, z)
+    out = INVARIANT.update(state, z)
     assert np.linalg.norm(out.mean.robot_pos - state.mean.robot_pos) < 1e-6
     assert np.linalg.norm(
         so3_log(out.mean.robot_rot @ state.mean.robot_rot.T)) < 1e-6
@@ -200,20 +199,12 @@ def test_update_matches_dense_oracle():
     cov_ref = (np.eye(12) - gain @ h) @ p
     cov_ref = 0.5 * (cov_ref + cov_ref.T)
 
-    out = update(state, z)
+    out = INVARIANT.update(state, z)
     assert np.allclose(out.mean.robot_rot, mean_ref.robot_rot, atol=1e-12)
     assert np.allclose(out.mean.robot_pos, mean_ref.robot_pos, atol=1e-12)
     assert np.allclose(out.mean.feature_rots, mean_ref.feature_rots, atol=1e-12)
     assert np.allclose(out.mean.feature_pos, mean_ref.feature_pos, atol=1e-12)
     assert np.allclose(out.cov, cov_ref, atol=1e-12)
-
-
-def test_joseph_form_agrees_with_simple_form():
-    rng = np.random.default_rng(12)
-    state = random_filter_state(rng, k=1)
-    z = exact_observation(state.mean, "f0", 0.01 * np.eye(6))
-    assert np.allclose(update(state, z).cov, update(state, z, joseph=True).cov,
-                       atol=1e-10)
 
 
 def test_update_rejects_ill_conditioned_innovation():
@@ -222,7 +213,7 @@ def test_update_rejects_ill_conditioned_innovation():
     state = FilterState(mean, np.zeros((12, 12)))
     z = exact_observation(mean, "f0", np.diag([1, 1, 1, 1, 1, 1e-14]))
     with pytest.raises(IllConditionedInnovationError):
-        update(state, z)
+        INVARIANT.update(state, z)
 
 
 def test_innovation_unknown_feature_raises():
@@ -230,7 +221,7 @@ def test_innovation_unknown_feature_raises():
     state = random_filter_state(rng, k=1)
     z = PoseObservation("ghost", np.eye(3), np.zeros(3), np.eye(6))
     with pytest.raises(UnknownFeatureError):
-        innovation(state, z)
+        INVARIANT.innovation(state, z)
 
 
 def test_initialize_trivial_case():
@@ -239,7 +230,7 @@ def test_initialize_trivial_case():
     rng = np.random.default_rng(15)
     state = FilterState(GroupState(np.eye(3), np.zeros(3)), np.zeros((6, 6)))
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), np.eye(6))
-    out = initialize_feature(state, z)
+    out = INVARIANT.initialize_feature(state, z)
     assert np.allclose(out.mean.feature_rots[0], z.rot)
     assert np.allclose(out.mean.feature_pos[0], z.pos)
     k = 1
@@ -253,7 +244,7 @@ def test_initialize_mean_formulas():
     state = random_filter_state(rng, k=1)
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3),
                         0.01 * np.eye(6))
-    out = initialize_feature(state, z)
+    out = INVARIANT.initialize_feature(state, z)
     assert np.allclose(out.mean.feature_rots[1],
                        state.mean.robot_rot @ z.rot, atol=1e-14)
     assert np.allclose(out.mean.feature_pos[1],
@@ -276,7 +267,7 @@ def test_initialize_covariance_matches_paper_block_layout():
     omega_full = rng.normal(size=(6, 6))
     omega_full = 0.01 * (omega_full @ omega_full.T) + 0.001 * np.eye(6)
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), omega_full)
-    out = initialize_feature(state, z)
+    out = INVARIANT.initialize_feature(state, z)
 
     k = 1
     rr = np.s_[0:6]
@@ -324,7 +315,7 @@ def test_initialize_covariance_matches_sampling_oracle():
     state = FilterState(mean, cov)
     omega = np.diag(rng.uniform(0.003, 0.009, size=6) ** 2)
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), omega)
-    analytic = initialize_feature(state, z).cov
+    analytic = INVARIANT.initialize_feature(state, z).cov
     empirical = sample_augmented_covariance(state, z, "invariant", 100_000,
                                             np.random.default_rng(99))
     rel = np.linalg.norm(empirical - analytic) / np.linalg.norm(analytic)
@@ -336,7 +327,7 @@ def test_initialize_duplicate_raises():
     state = random_filter_state(rng, k=1)
     z = PoseObservation("f0", np.eye(3), np.zeros(3), np.eye(6))
     with pytest.raises(DuplicateFeatureError):
-        initialize_feature(state, z)
+        INVARIANT.initialize_feature(state, z)
 
 
 def test_initialize_then_update_is_fixed_point():
@@ -344,8 +335,8 @@ def test_initialize_then_update_is_fixed_point():
     state = random_filter_state(rng, k=1)
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3),
                         0.01 * np.eye(6))
-    aug = initialize_feature(state, z)
-    out = update(aug, z)
+    aug = INVARIANT.initialize_feature(state, z)
+    out = INVARIANT.update(aug, z)
     assert np.linalg.norm(out.mean.robot_pos - aug.mean.robot_pos) < 1e-9
     assert np.linalg.norm(out.mean.feature_pos - aug.mean.feature_pos) < 1e-9
     assert np.linalg.norm(
@@ -372,13 +363,13 @@ def test_covariance_stays_psd_over_many_cycles():
         u = Odometry(so3_exp(0.05 * rng.normal(size=3)), 0.05 * rng.normal(size=3),
                      sigma)
         truth = propagate_mean(truth, u)
-        state = propagate(state, u)
+        state = INVARIANT.propagate(state, u)
         fid = state.mean.feature_ids[i % 2]
         exact = exact_observation(truth, fid, omega)
         v = 0.02 * rng.normal(size=6)
         z = PoseObservation(fid, so3_exp(v[0:3]) @ exact.rot,
                             exact.pos + v[3:6], omega)
-        state = update(state, z)
+        state = INVARIANT.update(state, z)
         if i % 100 == 0:
             assert np.allclose(state.cov, state.cov.T, atol=1e-10)
             assert np.linalg.eigvalsh(state.cov)[0] >= -1e-9
@@ -398,7 +389,7 @@ def test_innovation_left_invariance():
         exact = exact_observation(true_state, "f0", 0.01 * np.eye(6))
         z = PoseObservation("f0", so3_exp(v[0:3]) @ exact.rot,
                             exact.pos + v[3:6], 0.01 * np.eye(6))
-        y0 = innovation(state, z).y
+        y0 = INVARIANT.innovation(state, z).y
 
         rg, pg = random_rotation(rng), rng.normal(size=3)
         g = GroupState(rg, pg, np.stack([rg] * k), np.stack([pg] * k),
@@ -408,7 +399,7 @@ def test_innovation_left_invariance():
         exact_t = exact_observation(true_t, "f0", 0.01 * np.eye(6))
         z_t = PoseObservation("f0", so3_exp(v[0:3]) @ exact_t.rot,
                               exact_t.pos + v[3:6], 0.01 * np.eye(6))
-        y1 = innovation(est_t, z_t).y
+        y1 = INVARIANT.innovation(est_t, z_t).y
         assert np.linalg.norm(y1 - y0) < 1e-9
 
 
@@ -418,8 +409,8 @@ def test_augmentation_jacobians_match_finite_differences():
     mean = state.mean
     omega = 0.01 * np.eye(6)
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), omega)
-    a, b = augmentation_jacobians(state, z)
-    est_aug = initialize_feature(state, z).mean
+    a, b = INVARIANT.augmentation_jacobians(state, z)
+    est_aug = INVARIANT.initialize_feature(state, z).mean
     d = tangent_dim(1)
 
     def aug_error(xiv):

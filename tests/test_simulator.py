@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 
+from objectslam.ekf import propagate_mean
 from objectslam.group import GroupState
 from objectslam.lie import so3_exp, so3_log
-from objectslam.riekf import propagate_mean
 from objectslam.simulator import (SimConfig, generate_trajectory,
                                   generate_world, sample_noisy_odometry,
                                   sample_observations, simulate_run,

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
+from objectslam.ekf import INVARIANT, STANDARD, apply_std_error, propagate_mean
 from objectslam.errors import DuplicateFeatureError
 from objectslam.group import GroupState, pos_block, rot_block, tangent_dim
 from objectslam.harness import _numeric_jacobian, sample_augmented_covariance
 from objectslam.lie import random_rotation, skew, so3_exp, so3_log
 from objectslam.metrics import standard_error_vector
-from objectslam.riekf import observation_jacobian, propagate_mean
-from objectslam.stdekf import (apply_std_error, std_augmentation_jacobians,
-                               std_initialize_feature, std_innovation,
-                               std_observation_jacobian, std_propagate,
-                               std_propagation_jacobians, std_update)
 from objectslam.types import FilterState, Odometry, PoseObservation
 
 from test_riekf import exact_observation, random_filter_state
@@ -20,7 +16,7 @@ def test_state_jacobian_identity_for_zero_translation():
     rng = np.random.default_rng(0)
     state = random_filter_state(rng, k=1)
     u = Odometry(random_rotation(rng), np.zeros(3), np.eye(6))
-    f, _ = std_propagation_jacobians(state, u)
+    f, _ = STANDARD.propagation_jacobians(state, u)
     assert np.array_equal(f, np.eye(12))
 
 
@@ -28,7 +24,7 @@ def test_state_jacobian_offdiagonal_block():
     rng = np.random.default_rng(1)
     state = random_filter_state(rng, k=2)
     u = Odometry(random_rotation(rng), rng.normal(size=3), np.eye(6))
-    f, g = std_propagation_jacobians(state, u)
+    f, g = STANDARD.propagation_jacobians(state, u)
     r = state.mean.robot_rot
     k = 2
     assert np.allclose(f[pos_block(0, k), rot_block(0)], -skew(r @ u.pos))
@@ -52,7 +48,7 @@ def test_propagation_jacobians_match_finite_differences():
         mean = state.mean
         u = Odometry(random_rotation(rng), rng.normal(size=3), np.eye(6))
         pred = propagate_mean(mean, u)
-        f, g = std_propagation_jacobians(state, u)
+        f, g = STANDARD.propagation_jacobians(state, u)
 
         fd_f = _numeric_jacobian(
             lambda eta: standard_error_vector(
@@ -72,7 +68,7 @@ def test_observation_jacobian_extra_block():
     rng = np.random.default_rng(3)
     state = random_filter_state(rng, k=2)
     mean = state.mean
-    h = std_observation_jacobian(mean, 1)
+    h = STANDARD.observation_jacobian(mean, 1)
     rt = mean.robot_rot.T
     assert np.allclose(h[3:6, rot_block(0)],
                        rt @ skew(mean.feature_pos[1] - mean.robot_pos))
@@ -92,8 +88,8 @@ def test_difference_from_invariant_jacobian_is_one_block():
     mean = GroupState(np.eye(3), np.zeros(3),
                       np.stack([random_rotation(rng)]), rng.normal(size=(1, 3)),
                       ("f0",))
-    h_std = std_observation_jacobian(mean, 0)
-    h_ri = observation_jacobian(mean, 0)
+    h_std = STANDARD.observation_jacobian(mean, 0)
+    h_ri = INVARIANT.observation_jacobian(mean, 0)
     diff = h_std - h_ri
     mask = np.zeros_like(diff, dtype=bool)
     mask[3:6, rot_block(0)] = True
@@ -113,12 +109,12 @@ def test_observation_jacobian_matches_finite_differences():
         mean = state.mean
         fid = mean.feature_ids[int(rng.integers(0, k))]
         omega = 0.01 * np.eye(6)
-        h = std_observation_jacobian(mean, mean.index_of(fid))
+        h = STANDARD.observation_jacobian(mean, mean.index_of(fid))
 
         def y_of_error(eta):
             true_state = apply_std_error(mean, eta)
-            return std_innovation(state,
-                                  exact_observation(true_state, fid, omega)).y
+            return STANDARD.innovation(
+                state, exact_observation(true_state, fid, omega)).y
 
         fd = _numeric_jacobian(y_of_error, tangent_dim(k))
         assert np.linalg.norm(fd - h) / np.linalg.norm(h) < 1e-5
@@ -128,7 +124,7 @@ def test_update_perfect_prediction_keeps_mean():
     rng = np.random.default_rng(6)
     state = random_filter_state(rng)
     z = exact_observation(state.mean, "f0", 0.01 * np.eye(6))
-    out = std_update(state, z)
+    out = STANDARD.update(state, z)
     assert np.allclose(out.mean.robot_rot, state.mean.robot_rot, atol=1e-12)
     assert np.allclose(out.mean.robot_pos, state.mean.robot_pos, atol=1e-12)
 
@@ -154,7 +150,7 @@ def test_update_matches_dense_oracle():
     s = h @ p @ h.T + omega
     gain = p @ h.T @ np.linalg.inv(s)
     delta = gain @ y
-    out = std_update(state, z)
+    out = STANDARD.update(state, z)
     assert np.allclose(out.mean.robot_rot,
                        so3_exp(delta[0:3]) @ mean.robot_rot, atol=1e-12)
     assert np.allclose(out.mean.feature_rots[0],
@@ -171,11 +167,11 @@ def test_ideal_linearization_changes_jacobians_not_residual():
     state = random_filter_state(rng, k=1)
     truth = apply_std_error(state.mean, 0.1 * rng.normal(size=12))
     z = exact_observation(truth, "f0", 0.01 * np.eye(6))
-    inn_est = std_innovation(state, z)
-    inn_ideal = std_innovation(state, z, linearization=truth)
+    inn_est = STANDARD.innovation(state, z)
+    inn_ideal = STANDARD.innovation(state, z, linearization=truth)
     assert np.allclose(inn_est.y, inn_ideal.y)
     assert not np.allclose(inn_est.H, inn_ideal.H)
-    h = std_observation_jacobian(state.mean, 0, linearization=truth)
+    h = STANDARD.observation_jacobian(state.mean, 0, linearization=truth)
     assert np.allclose(inn_ideal.H, h)
 
 
@@ -184,12 +180,12 @@ def test_ideal_equals_std_when_estimate_is_truth():
     state = random_filter_state(rng, k=1)
     u = Odometry(random_rotation(rng), rng.normal(size=3),
                  np.diag([0.01] * 6))
-    out_std = std_propagate(state, u)
-    out_ideal = std_propagate(state, u, linearization=state.mean)
+    out_std = STANDARD.propagate(state, u)
+    out_ideal = STANDARD.propagate(state, u, linearization=state.mean)
     assert np.array_equal(out_std.cov, out_ideal.cov)
     z = exact_observation(state.mean, "f0", 0.01 * np.eye(6))
-    assert np.allclose(std_update(state, z).cov,
-                       std_update(state, z, linearization=state.mean).cov)
+    assert np.allclose(STANDARD.update(state, z).cov,
+                       STANDARD.update(state, z, linearization=state.mean).cov)
 
 
 def test_propagated_covariance_matches_dense_jacobian_product():
@@ -199,9 +195,9 @@ def test_propagated_covariance_matches_dense_jacobian_product():
         full = rng.normal(size=(6, 6))
         u = Odometry(random_rotation(rng), rng.normal(size=3),
                      0.01 * (full @ full.T) + 0.001 * np.eye(6))
-        f, g = std_propagation_jacobians(state, u)
+        f, g = STANDARD.propagation_jacobians(state, u)
         dense = f @ state.cov @ f.T + g @ u.noise_cov @ g.T
-        out = std_propagate(state, u)
+        out = STANDARD.propagate(state, u)
         assert np.allclose(out.cov, 0.5 * (dense + dense.T), atol=1e-12)
 
 
@@ -210,7 +206,7 @@ def test_augmentation_trivial_case():
     state = FilterState(GroupState(np.eye(3), np.zeros(3)), np.zeros((6, 6)))
     omega = np.diag(rng.uniform(0.01, 0.1, size=6))
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), omega)
-    out = std_initialize_feature(state, z)
+    out = STANDARD.initialize_feature(state, z)
     assert np.allclose(out.cov[rot_block(1), rot_block(1)], omega[0:3, 0:3])
     assert np.allclose(out.cov[pos_block(1, 1), pos_block(1, 1)], omega[3:6, 3:6])
 
@@ -221,8 +217,8 @@ def test_augmentation_jacobians_match_finite_differences():
     mean = state.mean
     omega = 0.01 * np.eye(6)
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), omega)
-    a, b = std_augmentation_jacobians(state, z)
-    est_aug = std_initialize_feature(state, z).mean
+    a, b = STANDARD.augmentation_jacobians(state, z)
+    est_aug = STANDARD.initialize_feature(state, z).mean
     d = tangent_dim(1)
 
     def aug_error(etav):
@@ -252,7 +248,7 @@ def test_augmentation_covariance_matches_sampling_oracle():
     state = FilterState(mean, cov)
     omega = np.diag(rng.uniform(0.003, 0.009, size=6) ** 2)
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), omega)
-    analytic = std_initialize_feature(state, z).cov
+    analytic = STANDARD.initialize_feature(state, z).cov
     empirical = sample_augmented_covariance(state, z, "standard", 100_000,
                                             np.random.default_rng(77))
     rel = np.linalg.norm(empirical - analytic) / np.linalg.norm(analytic)
@@ -269,13 +265,13 @@ def test_covariance_stays_psd_over_cycles():
         u = Odometry(so3_exp(0.05 * rng.normal(size=3)),
                      0.05 * rng.normal(size=3), sigma)
         truth = propagate_mean(truth, u)
-        state = std_propagate(state, u)
+        state = STANDARD.propagate(state, u)
         fid = state.mean.feature_ids[i % 2]
         exact = exact_observation(truth, fid, omega)
         v = 0.02 * rng.normal(size=6)
         z = PoseObservation(fid, so3_exp(v[0:3]) @ exact.rot,
                             exact.pos + v[3:6], omega)
-        state = std_update(state, z)
+        state = STANDARD.update(state, z)
         if i % 100 == 0:
             assert np.allclose(state.cov, state.cov.T, atol=1e-10)
             assert np.linalg.eigvalsh(state.cov)[0] >= -1e-9
@@ -287,4 +283,4 @@ def test_augmentation_duplicate_raises():
     state = random_filter_state(rng, k=1)
     z = PoseObservation("f0", np.eye(3), np.zeros(3), np.eye(6))
     with pytest.raises(DuplicateFeatureError):
-        std_initialize_feature(state, z)
+        STANDARD.initialize_feature(state, z)
