@@ -9,6 +9,7 @@ another state than the estimate (the ideal variant passes ground truth).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -76,6 +77,33 @@ def _check_conditioning(s: np.ndarray) -> None:
             f"{(eig[-1] / eig[0]) if eig[0] > 0.0 else np.inf:.3e}")
 
 
+@lru_cache(maxsize=4096)
+def _observed_columns(k: int, j: int) -> np.ndarray:
+    """The 12 state indices an observation of feature j touches, in the
+    column order of the observed H block: robot rot, feature rot, robot pos,
+    feature pos. Read-only, since every caller shares it."""
+    off = 3 * (k + 1)
+    f = 3 * (j + 1)
+    cols = np.array([0, 1, 2, f, f + 1, f + 2,
+                     off, off + 1, off + 2, off + f, off + f + 1, off + f + 2])
+    cols.setflags(write=False)
+    return cols
+
+
+def _scatter_columns(cols: np.ndarray, hc: np.ndarray, k: int) -> np.ndarray:
+    h = np.zeros((6, tangent_dim(k)))
+    h[:, cols] = hc
+    return h
+
+
+def _augmented_rows(k: int) -> np.ndarray:
+    """Row map of the augmentation A (K -> K+1) with the lever arm left out:
+    new index -> the old index its error block copies."""
+    off = 3 * (k + 1)
+    return np.concatenate([np.arange(off), np.arange(3),
+                           np.arange(off, 2 * off), np.arange(off, off + 3)])
+
+
 @dataclass(frozen=True)
 class Convention:
     """The EKF operations, written once; the fields are what a convention changes.
@@ -120,25 +148,40 @@ class Convention:
         cov = cov + g @ u.noise_cov @ g.T
         return FilterState(propagate_mean(state.mean, u), symmetrize(cov))
 
+    def observed_block(self, mean: GroupState, feature_index: int,
+                       linearization: GroupState | None = None):
+        """H's nonzero part: the 12 observed state indices and the 6x12 block.
+
+        Four blocks of +/- the transposed robot rotation, plus
+        observation_block in the robot-rotation columns of the position rows.
+        """
+        lin = mean if linearization is None else linearization
+        rt = lin.robot_rot.T
+        hc = np.zeros((6, 12))
+        hc[0:3, 0:3] = -rt
+        hc[0:3, 3:6] = rt
+        hc[3:6, 6:9] = -rt
+        hc[3:6, 9:12] = rt
+        if self.observation_block is not None:
+            hc[3:6, 0:3] = self.observation_block(
+                lin, mean.feature_ids[feature_index])
+        return _observed_columns(mean.num_features, feature_index), hc
+
     def observation_jacobian(self, mean: GroupState, feature_index: int,
                              linearization: GroupState | None = None) -> np.ndarray:
-        """H: four blocks of +/- the transposed robot rotation, plus observation_block."""
-        lin = mean if linearization is None else linearization
-        k = mean.num_features
-        rt = lin.robot_rot.T
-        h = np.zeros((6, tangent_dim(k)))
-        h[0:3, rot_block(0)] = -rt
-        h[0:3, rot_block(feature_index + 1)] = rt
-        h[3:6, pos_block(0, k)] = -rt
-        h[3:6, pos_block(feature_index + 1, k)] = rt
-        if self.observation_block is not None:
-            h[3:6, rot_block(0)] = self.observation_block(
-                lin, mean.feature_ids[feature_index])
-        return h
+        """Dense 6 x d H: observed_block scattered into zeros."""
+        cols, hc = self.observed_block(mean, feature_index, linearization)
+        return _scatter_columns(cols, hc, mean.num_features)
 
     def innovation(self, state: FilterState, z: PoseObservation,
                    linearization: GroupState | None = None) -> Innovation:
-        """Residual from the estimate; H and S from the linearization state."""
+        """Residual from the estimate; H and S from the linearization state.
+
+        H touches 12 of the d state indices, so H P is the 6x12 block times
+        the 12 gathered rows of P, O(d) instead of the dense 6 x d x d
+        product, and S = H P H^T + R reads the 12 observed columns of H P.
+        Innovation.H is still the dense H.
+        """
         mean = state.mean
         try:
             j = mean.index_of(z.feature_id)
@@ -148,21 +191,26 @@ class Convention:
         y[0:3] = so3_log(z.rot @ mean.feature_rots[j].T @ mean.robot_rot,
                          validate=False)
         y[3:6] = z.pos - mean.robot_rot.T @ (mean.feature_pos[j] - mean.robot_pos)
-        h = self.observation_jacobian(mean, j, linearization)
-        hp = h @ state.cov
-        s = symmetrize(hp @ h.T) + z.noise_cov
-        return Innovation(y, h, s, hp)
+        cols, hc = self.observed_block(mean, j, linearization)
+        hp = hc @ state.cov.take(cols, axis=0)
+        s = symmetrize(hp.take(cols, axis=1) @ hc.T) + z.noise_cov
+        return Innovation(y, _scatter_columns(cols, hc, mean.num_features), s, hp)
 
     def apply_update(self, state: FilterState, inn: Innovation) -> FilterState:
         """Kalman correction: mean retracted by K y, cov by (I - K H) P.
 
-        The covariance is formed as P - K (H P), which is (I - K H) P without
-        the dense square product.
+        The covariance is P - K (H P): one d x d product written into a fresh
+        buffer, then one in-place subtraction, so the input covariance is
+        left untouched. K H P is symmetric up to rounding and is not
+        symmetrized here; propagate and initialize_feature symmetrize once
+        per step.
         """
         _check_conditioning(inn.S)
         gain = inn.HP.T @ np.linalg.inv(inn.S)
         mean = self.retract(state.mean, gain @ inn.y)
-        return FilterState(mean, symmetrize(state.cov - gain @ inn.HP))
+        cov = gain @ inn.HP
+        np.subtract(state.cov, cov, out=cov)
+        return FilterState(mean, cov)
 
     def update(self, state: FilterState, z: PoseObservation,
                linearization: GroupState | None = None) -> FilterState:
@@ -196,15 +244,31 @@ class Convention:
         """Augment the state with a first-seen feature (K -> K+1).
 
         The new mean is the observation moved into the global frame; the
-        covariance is A P A^T + B Omega B^T.
+        covariance is A P A^T + B Omega B^T. A copies every old block and
+        the robot blocks into the new ones (plus the lever arm, if any), so
+        A P A^T is a row gather, then a column gather, of P: O(d^2), not the
+        O(d^3) dense product. B Omega B^T fills only the new 6x6 block.
         """
         mean = state.mean
         if z.feature_id in mean.feature_ids:
             raise DuplicateFeatureError(f"feature {z.feature_id!r} already initialized")
+        k = mean.num_features
         new_rot = mean.robot_rot @ z.rot
         new_pos = mean.robot_pos + mean.robot_rot @ z.pos
-        a, b = self.augmentation_jacobians(state, z)
-        cov = a @ state.cov @ a.T + b @ z.noise_cov @ b.T
+        rows = _augmented_rows(k)
+        r0 = rot_block(0)
+        n_rot, n_pos = rot_block(k + 1), pos_block(k + 1, k + 1)
+        ap = state.cov.take(rows, axis=0)
+        if self.lever_arm is not None:
+            lever = self.lever_arm(mean.robot_rot, z.pos)
+            ap[n_pos] += lever @ state.cov[r0]
+        cov = ap.take(rows, axis=1)
+        if self.lever_arm is not None:
+            cov[:, n_pos] += ap[:, r0] @ lever.T
+        b = np.zeros((6, 6))
+        b[0:3, 0:3] = b[3:6, 3:6] = -mean.robot_rot
+        new = np.r_[n_rot, n_pos]
+        cov[np.ix_(new, new)] += b @ z.noise_cov @ b.T
         aug_mean = GroupState(
             mean.robot_rot,
             mean.robot_pos,

@@ -4,9 +4,15 @@ Measurement logs carry one record per line with kinds "odom", "obs" and
 (optionally) "truth"; rotations travel as (w, x, y, z) unit quaternions and
 covariances as the 21 upper-triangle entries of the 6x6 matrix, rotation block
 first. Truth records make replay metrics possible and use a zero covariance.
+
+Every parsed value is checked: steps are non-negative JSON integers, numbers
+are finite, feature ids are hashable, and quaternions whose norm is within
+QUAT_NORM_TOL of 1 are normalized (others are rejected). A line that fails
+raises MalformedRecordError naming its line number.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,21 +24,46 @@ from .types import Odometry, PoseObservation
 
 _KINDS = ("odom", "obs", "truth")
 _TRIU = np.triu_indices(6)
+# Largest |norm - 1| of an ingested quaternion: admits values printed with
+# about 5 significant digits, e.g. [0.7071, 0, 0, 0.7071].
+QUAT_NORM_TOL = 1e-4
 
 
 def _pack_cov(cov: np.ndarray) -> list:
     return [float(v) for v in np.asarray(cov)[_TRIU]]
 
 
+def _finite_vector(value, name: str, size: int, lineno: int) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedRecordError(f"line {lineno}: {name}: {exc}") from None
+    if arr.shape != (size,):
+        raise MalformedRecordError(f"line {lineno}: {name} needs {size} entries, "
+                                   f"got shape {arr.shape}")
+    # for 3-21 entries a Python scan is cheaper than a numpy reduction
+    if not all(map(math.isfinite, arr.tolist())):
+        raise MalformedRecordError(f"line {lineno}: {name} has non-finite entries")
+    return arr
+
+
 def _unpack_cov(values, lineno: int) -> np.ndarray:
-    if len(values) != 21:
-        raise MalformedRecordError(f"line {lineno}: cov needs 21 entries, got {len(values)}")
     cov = np.zeros((6, 6))
-    cov[_TRIU] = values
+    cov[_TRIU] = _finite_vector(values, "cov", 21, lineno)
     cov = cov + np.triu(cov, 1).T
     if np.linalg.eigvalsh(cov)[0] < -1e-10:
         raise MalformedRecordError(f"line {lineno}: covariance not PSD")
     return cov
+
+
+def _feature_id(rec: dict, lineno: int):
+    fid = rec["feature_id"]
+    try:
+        hash(fid)
+    except TypeError:
+        raise MalformedRecordError(
+            f"line {lineno}: feature_id {fid!r} is not hashable") from None
+    return fid
 
 
 def _record(step: int, kind: str, rot: np.ndarray, pos: np.ndarray,
@@ -89,19 +120,24 @@ def read_measurement_log(path) -> dict:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(f"line {lineno}: {exc}") from None
+            if not isinstance(rec, dict):
+                raise MalformedRecordError(f"line {lineno}: record is not a JSON object")
             try:
-                step = int(rec["step"])
-                kind = rec["kind"]
-                quat = np.asarray(rec["rotation"], dtype=float)
-                pos = np.asarray(rec["position"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecordError(f"line {lineno}: {exc}") from None
+                step, kind = rec["step"], rec["kind"]
+                quat = _finite_vector(rec["rotation"], "rotation (quaternion)", 4, lineno)
+                pos = _finite_vector(rec["position"], "position", 3, lineno)
+            except KeyError as exc:
+                raise MalformedRecordError(f"line {lineno}: missing {exc}") from None
+            # bool is an int subclass, and a float step would be truncated
+            if type(step) is not int or step < 0:
+                raise MalformedRecordError(
+                    f"line {lineno}: step must be a non-negative integer, got {step!r}")
             if kind not in _KINDS:
                 raise MalformedRecordError(f"line {lineno}: unknown kind {kind!r}")
-            if quat.shape != (4,) or abs(np.linalg.norm(quat) - 1.0) > 1e-9:
-                raise MalformedRecordError(f"line {lineno}: quaternion not unit norm")
-            if pos.shape != (3,):
-                raise MalformedRecordError(f"line {lineno}: position needs 3 entries")
+            if abs(np.linalg.norm(quat) - 1.0) > QUAT_NORM_TOL:
+                raise MalformedRecordError(
+                    f"line {lineno}: quaternion norm {np.linalg.norm(quat):.6g} "
+                    f"is not within {QUAT_NORM_TOL:g} of 1")
             rot = quat_to_rot(quat)
             entry = steps.setdefault(step, ReplayStep())
             if kind == "odom":
@@ -112,12 +148,11 @@ def read_measurement_log(path) -> dict:
                     raise MalformedRecordError(f"line {lineno}: obs record without feature_id")
                 cov = _unpack_cov(rec.get("cov", []), lineno)
                 entry.observations.append(
-                    PoseObservation(rec["feature_id"], rot, pos, cov))
+                    PoseObservation(_feature_id(rec, lineno), rot, pos, cov))
+            elif "feature_id" in rec:
+                entry.truth_features[_feature_id(rec, lineno)] = (rot, pos)
             else:
-                if "feature_id" in rec:
-                    entry.truth_features[rec["feature_id"]] = (rot, pos)
-                else:
-                    entry.truth_robot = (rot, pos)
+                entry.truth_robot = (rot, pos)
     return steps
 
 

@@ -1,12 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from objectslam.errors import MalformedRecordError
 from objectslam.harness import observability_experiment
-from objectslam.logio import (read_jacobian_log, read_measurement_log,
-                              write_jacobian_log, write_measurement_log)
+from objectslam.logio import (QUAT_NORM_TOL, read_jacobian_log,
+                              read_measurement_log, write_jacobian_log,
+                              write_measurement_log)
 from objectslam.simulator import SimConfig, generate_world, simulate_run
 
 
@@ -133,3 +135,131 @@ def test_jacobian_log_bad_header(tmp_path):
     path.write_text("garbage\n")
     with pytest.raises(MalformedRecordError, match="header"):
         read_jacobian_log(path)
+
+
+def _write_records(tmp_path, *records):
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def _obs(**fields):
+    rec = {"step": 1, "kind": "obs", "feature_id": "a", "rotation": [1, 0, 0, 0],
+           "position": [0, 0, 0], "cov": [0.0] * 21}
+    rec.update(fields)
+    return rec
+
+
+@pytest.mark.parametrize("field, value", [
+    ("position", [0.0, float("nan"), 0.0]),
+    ("position", [float("inf"), 0.0, 0.0]),
+    ("rotation", [float("nan"), 0.0, 0.0, 0.0]),
+    ("cov", [float("inf")] + [0.0] * 20),
+    ("cov", [0.0] * 20 + [float("nan")]),
+])
+def test_non_finite_values_rejected(tmp_path, field, value):
+    path = _write_records(tmp_path, _obs(), _obs(**{field: value}))
+    with pytest.raises(MalformedRecordError, match=f"line 2: {field}.*non-finite"):
+        read_measurement_log(path)
+
+
+@pytest.mark.parametrize("step", [-3, 1.7, 2.0, True, "4", None])
+def test_bad_steps_rejected(tmp_path, step):
+    path = _write_records(tmp_path, _obs(), _obs(step=step))
+    with pytest.raises(MalformedRecordError, match="line 2: step"):
+        read_measurement_log(path)
+
+
+@pytest.mark.parametrize("kind", ["obs", "truth"])
+@pytest.mark.parametrize("fid", [["a", 1], {"a": 1}])
+def test_unhashable_feature_id_rejected(tmp_path, kind, fid):
+    path = _write_records(tmp_path, _obs(kind=kind, feature_id=fid))
+    with pytest.raises(MalformedRecordError, match="line 1: feature_id.*hashable"):
+        read_measurement_log(path)
+
+
+def test_quaternion_within_tolerance_normalized(tmp_path):
+    quat = [0.7071, 0.0, 0.0, 0.7071]  # norm 0.99999
+    steps = read_measurement_log(_write_records(tmp_path, _obs(rotation=quat)))
+    rot = steps[1].observations[0].rot
+    assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-14)
+    assert np.isclose(np.linalg.det(rot), 1.0, atol=1e-14)
+    assert np.allclose(rot, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-14)
+
+
+def test_quaternion_beyond_tolerance_rejected(tmp_path):
+    n = 1.0 + 2 * QUAT_NORM_TOL
+    path = _write_records(tmp_path, _obs(rotation=[n, 0.0, 0.0, 0.0]))
+    with pytest.raises(MalformedRecordError, match="line 1: quaternion"):
+        read_measurement_log(path)
+
+
+def test_fuzz_every_line_parses_finite_or_names_its_line(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    floats = st.one_of(st.floats(-10.0, 10.0),
+                       st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats,
+                        st.just(10**400), st.text(max_size=3))
+    values = st.one_of(scalars, st.lists(scalars, max_size=4),
+                       st.dictionaries(st.text(max_size=2), scalars, max_size=2))
+    unit_quat = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda q: np.linalg.norm(q) > 0.1).map(
+        lambda q: [v / np.linalg.norm(q) for v in q])
+    valid = st.fixed_dictionaries({
+        "step": st.integers(0, 5),
+        "kind": st.sampled_from(["odom", "obs", "truth"]),
+        "feature_id": st.one_of(st.text(max_size=3), st.integers(0, 3)),
+        "rotation": unit_quat,
+        "position": st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+        "cov": st.just([1e-4] * 21)})
+    sizes = {"rotation": 4, "position": 3, "cov": 21}
+
+    @st.composite
+    def line(draw):
+        # mostly a valid record with at most one field dropped, replaced by
+        # any JSON value or, for vectors, by a right-sized vector that may
+        # hold non-finite entries (one_of would flatten these choices and
+        # leave them rare); sometimes any JSON value instead of a record
+        if draw(st.integers(0, 9)) == 0:
+            return draw(values)
+        rec = draw(valid)
+        key = draw(st.sampled_from([None, "step", "kind", "feature_id", *sizes]))
+        how = draw(st.sampled_from(["drop", "any", "sized"]))
+        if key is None:
+            pass
+        elif how == "drop":
+            del rec[key]
+        elif how == "sized" and key in sizes:
+            rec[key] = draw(st.lists(floats, min_size=sizes[key],
+                                     max_size=sizes[key]))
+        else:
+            rec[key] = draw(values)
+        return rec
+
+    @settings(max_examples=400, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(line(), min_size=1, max_size=4))
+    def check(recs):
+        path = tmp_path / "fuzz.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        try:
+            steps = read_measurement_log(path)
+        except MalformedRecordError as exc:
+            assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
+            return
+        for step, entry in steps.items():
+            assert type(step) is int and step >= 0
+            parsed = [(z.rot, z.pos, z.noise_cov) for z in entry.observations]
+            parsed += [(u.rot, u.pos, u.noise_cov) for u in [entry.odometry] if u]
+            parsed += list(entry.truth_features.values())
+            parsed += [entry.truth_robot] if entry.truth_robot else []
+            for rot, *rest in parsed:
+                assert all(np.all(np.isfinite(a)) for a in (rot, *rest))
+                assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-9)
+            for fid in entry.truth_features:
+                hash(fid)
+
+    check()
