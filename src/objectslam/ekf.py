@@ -90,12 +90,6 @@ def _observed_columns(k: int, j: int) -> np.ndarray:
     return cols
 
 
-def _scatter_columns(cols: np.ndarray, hc: np.ndarray, k: int) -> np.ndarray:
-    h = np.zeros((6, tangent_dim(k)))
-    h[:, cols] = hc
-    return h
-
-
 def _augmented_rows(k: int) -> np.ndarray:
     """Row map of the augmentation A (K -> K+1) with the lever arm left out:
     new index -> the old index its error block copies."""
@@ -171,7 +165,9 @@ class Convention:
                              linearization: GroupState | None = None) -> np.ndarray:
         """Dense 6 x d H: observed_block scattered into zeros."""
         cols, hc = self.observed_block(mean, feature_index, linearization)
-        return _scatter_columns(cols, hc, mean.num_features)
+        h = np.zeros((6, tangent_dim(mean.num_features)))
+        h[:, cols] = hc
+        return h
 
     def innovation(self, state: FilterState, z: PoseObservation,
                    linearization: GroupState | None = None) -> Innovation:
@@ -180,7 +176,7 @@ class Convention:
         H touches 12 of the d state indices, so H P is the 6x12 block times
         the 12 gathered rows of P, O(d) instead of the dense 6 x d x d
         product, and S = H P H^T + R reads the 12 observed columns of H P.
-        Innovation.H is still the dense H.
+        The dense H is never formed.
         """
         mean = state.mean
         try:
@@ -194,7 +190,7 @@ class Convention:
         cols, hc = self.observed_block(mean, j, linearization)
         hp = hc @ state.cov.take(cols, axis=0)
         s = symmetrize(hp.take(cols, axis=1) @ hc.T) + z.noise_cov
-        return Innovation(y, _scatter_columns(cols, hc, mean.num_features), s, hp)
+        return Innovation(y, s, hp)
 
     def apply_update(self, state: FilterState, inn: Innovation) -> FilterState:
         """Kalman correction: mean retracted by K y, cov by (I - K H) P.

@@ -187,15 +187,14 @@ def run_filter(spec: FilterSpec, odometry: list, observations: list,
     return result
 
 
-def synthesize_constant_velocity_odometry(prev_estimates: list,
+def synthesize_constant_velocity_odometry(increment_sum: np.ndarray, count: int,
                                           noise_cov: np.ndarray) -> Odometry:
-    """Zero-turn odometry whose translation averages all past estimated
-    body-frame increments; zero motion until two estimates exist."""
-    if len(prev_estimates) < 2:
+    """Zero-turn odometry whose translation is the mean of the count past
+    estimated body-frame increments R_{i-1}^T (p_i - p_{i-1}), given their
+    sum; zero motion while count is 0 (fewer than two estimates)."""
+    if count == 0:
         return Odometry(np.eye(3), np.zeros(3), noise_cov)
-    deltas = [prev_estimates[i - 1][0].T @ (prev_estimates[i][1] - prev_estimates[i - 1][1])
-              for i in range(1, len(prev_estimates))]
-    return Odometry(np.eye(3), np.mean(deltas, axis=0), noise_cov)
+    return Odometry(np.eye(3), increment_sum / count, noise_cov)
 
 
 def replay_log(spec: FilterSpec, steps: dict, synth_noise_cov=None,
@@ -213,6 +212,10 @@ def replay_log(spec: FilterSpec, steps: dict, synth_noise_cov=None,
                 "metrics": None, "final_state": state}
     last = max(steps)
     trajectory = []
+    # running sum of the body-frame increments between recorded estimates;
+    # it starts at the first increment, not at zeros, so it is the sum that
+    # np.sum over all of them forms (a -0.0 component stays -0.0)
+    increment_sum, increments = np.zeros(3), 0
     truth_robot_err = []
     failure = ""
     for step in range(last + 1):
@@ -224,7 +227,8 @@ def replay_log(spec: FilterSpec, steps: dict, synth_noise_cov=None,
                     raise ValueError(
                         f"step {step} has no odometry record; constant-velocity "
                         "synthesis needs an explicit noise covariance")
-                u = synthesize_constant_velocity_odometry(trajectory, synth_noise_cov)
+                u = synthesize_constant_velocity_odometry(increment_sum, increments,
+                                                          synth_noise_cov)
             state = spec.convention.propagate(state, u)
         if rec is not None:
             try:
@@ -233,6 +237,11 @@ def replay_log(spec: FilterSpec, steps: dict, synth_noise_cov=None,
             except (IllConditionedInnovationError, LogDomainError) as exc:
                 failure = f"step {step}: {exc}"
                 break
+        if trajectory:
+            prev_rot, prev_pos = trajectory[-1]
+            delta = prev_rot.T @ (state.mean.robot_pos - prev_pos)
+            increment_sum = delta if increments == 0 else increment_sum + delta
+            increments += 1
         trajectory.append((state.mean.robot_rot, state.mean.robot_pos))
         if rec is not None and rec.truth_robot is not None:
             r_t, p_t = rec.truth_robot

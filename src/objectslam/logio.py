@@ -5,10 +5,13 @@ Measurement logs carry one record per line with kinds "odom", "obs" and
 covariances as the 21 upper-triangle entries of the 6x6 matrix, rotation block
 first. Truth records make replay metrics possible and use a zero covariance.
 
-Every parsed value is checked: steps are non-negative JSON integers, numbers
-are finite, feature ids are hashable, and quaternions whose norm is within
-QUAT_NORM_TOL of 1 are normalized (others are rejected). A line that fails
-raises MalformedRecordError naming its line number.
+Every parsed value is checked: lines are UTF-8, steps are non-negative JSON
+integers, numbers are finite JSON numbers (not strings or booleans), feature
+ids are hashable, a step holds at most one odometry record and step 0 none,
+and quaternions whose norm is within QUAT_NORM_TOL of 1 are normalized (others
+are rejected). A line that fails raises MalformedRecordError naming its line
+number. Jacobian logs are checked the same way: a JSON-object header, finite
+entries, and F and H shapes that match the header's state dimension.
 """
 
 import json
@@ -27,6 +30,8 @@ _TRIU = np.triu_indices(6)
 # Largest |norm - 1| of an ingested quaternion: admits values printed with
 # about 5 significant digits, e.g. [0.7071, 0, 0, 0.7071].
 QUAT_NORM_TOL = 1e-4
+# what json.loads makes of a JSON number (bool is excluded by exact type)
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _pack_cov(cov: np.ndarray) -> list:
@@ -34,17 +39,21 @@ def _pack_cov(cov: np.ndarray) -> list:
 
 
 def _finite_vector(value, name: str, size: int, lineno: int) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedRecordError(f"line {lineno}: {name}: {exc}") from None
-    if arr.shape != (size,):
+    # cheap Python scans: a record holds 3-21 numbers, and numpy's float
+    # conversion would take "1" or true as numbers
+    if type(value) is not list or len(value) != size:
+        got = f"{len(value)} entries" if type(value) is list else type(value).__name__
         raise MalformedRecordError(f"line {lineno}: {name} needs {size} entries, "
-                                   f"got shape {arr.shape}")
-    # for 3-21 entries a Python scan is cheaper than a numpy reduction
-    if not all(map(math.isfinite, arr.tolist())):
+                                   f"got {got}")
+    if not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise MalformedRecordError(f"line {lineno}: {name} entries must be JSON numbers")
+    try:
+        finite = all(map(math.isfinite, value))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise MalformedRecordError(f"line {lineno}: {name} has non-finite entries")
-    return arr
+    return np.array(value, dtype=float)
 
 
 def _unpack_cov(values, lineno: int) -> np.ndarray:
@@ -75,6 +84,17 @@ def _record(step: int, kind: str, rot: np.ndarray, pos: np.ndarray,
     rec["position"] = [float(v) for v in pos]
     rec["cov"] = _pack_cov(cov)
     return json.dumps(rec)
+
+
+def _utf8_lines(path):
+    """Yield (line number, text) for each line; a line that is not UTF-8
+    raises MalformedRecordError naming it."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(f"line {lineno}: not UTF-8: {exc}") from None
 
 
 @dataclass
@@ -111,48 +131,54 @@ def write_measurement_log(path, odometry, observations, trace=None) -> None:
 def read_measurement_log(path) -> dict:
     """Parse a measurement log into {step: ReplayStep}, validating each line."""
     steps: dict[int, ReplayStep] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(f"line {lineno}: {exc}") from None
-            if not isinstance(rec, dict):
-                raise MalformedRecordError(f"line {lineno}: record is not a JSON object")
-            try:
-                step, kind = rec["step"], rec["kind"]
-                quat = _finite_vector(rec["rotation"], "rotation (quaternion)", 4, lineno)
-                pos = _finite_vector(rec["position"], "position", 3, lineno)
-            except KeyError as exc:
-                raise MalformedRecordError(f"line {lineno}: missing {exc}") from None
-            # bool is an int subclass, and a float step would be truncated
-            if type(step) is not int or step < 0:
+    for lineno, line in _utf8_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise MalformedRecordError(f"line {lineno}: {exc}") from None
+        if not isinstance(rec, dict):
+            raise MalformedRecordError(f"line {lineno}: record is not a JSON object")
+        try:
+            step, kind = rec["step"], rec["kind"]
+            quat = _finite_vector(rec["rotation"], "rotation (quaternion)", 4, lineno)
+            pos = _finite_vector(rec["position"], "position", 3, lineno)
+        except KeyError as exc:
+            raise MalformedRecordError(f"line {lineno}: missing {exc}") from None
+        # bool is an int subclass, and a float step would be truncated
+        if type(step) is not int or step < 0:
+            raise MalformedRecordError(
+                f"line {lineno}: step must be a non-negative integer, got {step!r}")
+        if kind not in _KINDS:
+            raise MalformedRecordError(f"line {lineno}: unknown kind {kind!r}")
+        if abs(np.linalg.norm(quat) - 1.0) > QUAT_NORM_TOL:
+            raise MalformedRecordError(
+                f"line {lineno}: quaternion norm {np.linalg.norm(quat):.6g} "
+                f"is not within {QUAT_NORM_TOL:g} of 1")
+        rot = quat_to_rot(quat)
+        entry = steps.setdefault(step, ReplayStep())
+        if kind == "odom":
+            cov = _unpack_cov(rec.get("cov", []), lineno)
+            # the odometry record at step s moves step s - 1 to s
+            if step == 0:
                 raise MalformedRecordError(
-                    f"line {lineno}: step must be a non-negative integer, got {step!r}")
-            if kind not in _KINDS:
-                raise MalformedRecordError(f"line {lineno}: unknown kind {kind!r}")
-            if abs(np.linalg.norm(quat) - 1.0) > QUAT_NORM_TOL:
+                    f"line {lineno}: odometry record at step 0")
+            if entry.odometry is not None:
                 raise MalformedRecordError(
-                    f"line {lineno}: quaternion norm {np.linalg.norm(quat):.6g} "
-                    f"is not within {QUAT_NORM_TOL:g} of 1")
-            rot = quat_to_rot(quat)
-            entry = steps.setdefault(step, ReplayStep())
-            if kind == "odom":
-                cov = _unpack_cov(rec.get("cov", []), lineno)
-                entry.odometry = Odometry(rot, pos, cov)
-            elif kind == "obs":
-                if "feature_id" not in rec:
-                    raise MalformedRecordError(f"line {lineno}: obs record without feature_id")
-                cov = _unpack_cov(rec.get("cov", []), lineno)
-                entry.observations.append(
-                    PoseObservation(_feature_id(rec, lineno), rot, pos, cov))
-            elif "feature_id" in rec:
-                entry.truth_features[_feature_id(rec, lineno)] = (rot, pos)
-            else:
-                entry.truth_robot = (rot, pos)
+                    f"line {lineno}: second odometry record at step {step}")
+            entry.odometry = Odometry(rot, pos, cov)
+        elif kind == "obs":
+            if "feature_id" not in rec:
+                raise MalformedRecordError(f"line {lineno}: obs record without feature_id")
+            cov = _unpack_cov(rec.get("cov", []), lineno)
+            entry.observations.append(
+                PoseObservation(_feature_id(rec, lineno), rot, pos, cov))
+        elif "feature_id" in rec:
+            entry.truth_features[_feature_id(rec, lineno)] = (rot, pos)
+        else:
+            entry.truth_robot = (rot, pos)
     return steps
 
 
@@ -172,38 +198,56 @@ def write_jacobian_log(path, log: JacobianLog) -> None:
 
 
 def _matrix_line(tag: str, step: int, m: np.ndarray) -> str:
-    vals = " ".join(repr(float(v)) for v in np.asarray(m).ravel())
+    vals = " ".join(map(repr, np.asarray(m, dtype=float).ravel().tolist()))
     return f"{tag} {step} {m.shape[0]} {m.shape[1]} {vals}\n"
 
 
 def read_jacobian_log(path) -> JacobianLog:
-    with open(path) as fh:
+    """Parse a Jacobian log, naming the line of any malformed entry."""
+    lines = _utf8_lines(path)
+    try:
+        header = json.loads(next(lines, (1, ""))[1])
+        if not isinstance(header, dict):
+            raise TypeError("header is not a JSON object")
+        counts = {"num_features": header["num_features"], "steps": header["steps"],
+                  "start_step": header.get("start_step", 0)}
+        for name, value in counts.items():
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} {value!r} is not a non-negative integer")
+        log = JacobianLog(header["filter"], header["mode"], counts["num_features"],
+                          start_step=counts["start_step"],
+                          anchor=header.get("anchor"))
+        steps = counts["steps"]
+        d = log.state_dim
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedRecordError(f"line 1: bad jacobian-log header: {exc}") from None
+    fs: dict[int, np.ndarray] = {}
+    hs: dict[int, np.ndarray] = {}
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
         try:
-            header = json.loads(fh.readline())
-            log = JacobianLog(header["filter"], header["mode"],
-                              header["num_features"],
-                              start_step=int(header.get("start_step", 0)),
-                              anchor=header.get("anchor"))
-            steps = int(header["steps"])
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise MalformedRecordError(f"line 1: bad jacobian-log header: {exc}") from None
-        fs: dict[int, np.ndarray] = {}
-        hs: dict[int, np.ndarray] = {}
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                tag, step, rows, cols = parts[0], int(parts[1]), int(parts[2]), int(parts[3])
-                m = np.array(parts[4:], dtype=float).reshape(rows, cols)
-            except (IndexError, ValueError) as exc:
-                raise MalformedRecordError(f"line {lineno}: {exc}") from None
-            if tag == "F":
-                fs[step] = m
-            elif tag == "H":
-                hs[step] = m
-            else:
-                raise MalformedRecordError(f"line {lineno}: unknown tag {tag!r}")
+            tag, step, rows, cols = parts[0], int(parts[1]), int(parts[2]), int(parts[3])
+        except (IndexError, ValueError) as exc:
+            raise MalformedRecordError(f"line {lineno}: {exc}") from None
+        if tag not in ("F", "H"):
+            raise MalformedRecordError(f"line {lineno}: unknown tag {tag!r}")
+        fits = (rows, cols) == (d, d) if tag == "F" else (rows > 0 and cols == d)
+        if not fits:
+            raise MalformedRecordError(
+                f"line {lineno}: {tag} shape ({rows}, {cols}) does not fit "
+                f"state dimension {d}")
+        try:
+            m = np.array(parts[4:], dtype=float).reshape(rows, cols)
+        except ValueError as exc:
+            raise MalformedRecordError(f"line {lineno}: {exc}") from None
+        if not np.isfinite(m).all():
+            raise MalformedRecordError(f"line {lineno}: {tag} has non-finite entries")
+        found = fs if tag == "F" else hs
+        if step in found:
+            raise MalformedRecordError(f"line {lineno}: second {tag} for step {step}")
+        found[step] = m
     for k in range(steps):
         if k not in fs:
             raise MalformedRecordError(f"missing F matrix for step {k}")

@@ -1,9 +1,9 @@
 """Observability-matrix construction and unobservable-subspace verification.
 
 The stacked matrix has rows H_k @ F_{k-1} @ ... @ F_0 (empty product for the
-first block). Null spaces are extracted by SVD with a relative singular-value
-threshold; the check functions compare the computed null space against the
-analytic gauge bases (global rotation + translation).
+first block). Null spaces are extracted by one thin SVD with a relative
+singular-value threshold; the check functions compare the computed null space
+against the analytic gauge bases (global rotation + translation).
 """
 
 from dataclasses import dataclass, field
@@ -52,7 +52,11 @@ class JacobianLog:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
+    """Orthonormal basis (columns) of a null space and the singular values of
+    the matrix it was taken from, in descending order."""
+
     basis: np.ndarray
+    singular_values: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -75,13 +79,19 @@ def build_observability_matrix(log: JacobianLog) -> np.ndarray:
 
 
 def null_space(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
-    """Orthonormal basis of right singular vectors below tol * sigma_max * max(dim)."""
-    _, sv, vt = np.linalg.svd(m)
+    """Orthonormal basis of right singular vectors below tol * sigma_max * max(dim).
+
+    Only V is needed. A tall m x n matrix takes the thin SVD, whose V^T is
+    already n x n, so the m x m U is never formed; a wide one (m < n) needs
+    the full V^T, whose last n - m rows are null directions without a
+    singular value.
+    """
+    _, sv, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     if sv.size == 0 or sv[0] == 0.0:
-        return SubspaceBasis(np.eye(m.shape[1]))
+        return SubspaceBasis(np.eye(m.shape[1]), sv)
     cutoff = tol * sv[0] * max(m.shape)
     n_null = m.shape[1] - int(np.sum(sv > cutoff))
-    return SubspaceBasis(vt[m.shape[1] - n_null:].T.copy())
+    return SubspaceBasis(vt[m.shape[1] - n_null:].T.copy(), sv)
 
 
 def subspace_contained(a: np.ndarray, b: np.ndarray) -> float:
@@ -165,8 +175,8 @@ class ObservabilityReport:
 def _make_report(log: JacobianLog, analytic: np.ndarray, expected_dim: int,
                  tol: float) -> ObservabilityReport:
     obs = build_observability_matrix(log)
-    sv = np.linalg.svd(obs, compute_uv=False)
     ns = null_space(obs, tol=tol)
+    sv = ns.singular_values
     residual = float(np.linalg.norm(obs @ analytic))
     contain = subspace_contained(analytic, ns.basis) if ns.dimension else np.inf
     passed = (ns.dimension == expected_dim

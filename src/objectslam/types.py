@@ -43,13 +43,13 @@ class FilterState:
 
 @dataclass(frozen=True)
 class Innovation:
-    """6-dim innovation y = [y_rot; y_pos], its Jacobian H and covariance S.
+    """6-dim innovation y = [y_rot; y_pos] and its covariance S.
 
-    HP caches H @ P from the S computation so the update can reuse it.
+    HP caches H @ P from the S computation so the update can reuse it; the
+    dense H itself is never formed (see Convention.observation_jacobian).
     """
 
     y: np.ndarray
-    H: np.ndarray
     S: np.ndarray
     HP: np.ndarray
 

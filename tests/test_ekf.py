@@ -49,7 +49,6 @@ def test_block_innovation_matches_dense_jacobian(conv, k):
         for j, z in enumerate(obs):
             inn = conv.innovation(state, z, linearization)
             h = conv.observation_jacobian(state.mean, j, linearization)
-            assert np.array_equal(inn.H, h)
             assert np.max(np.abs(inn.HP - h @ p)) < 1e-12
             assert np.max(np.abs(inn.S - (symmetrize(h @ p @ h.T) + z.noise_cov))) < 1e-12
 

@@ -5,8 +5,8 @@ from objectslam.types import Innovation
 
 
 def make_innovation(y, s):
-    return Innovation(np.asarray(y, dtype=float), np.zeros((6, 12)),
-                      np.asarray(s, dtype=float), np.zeros((6, 12)))
+    return Innovation(np.asarray(y, dtype=float), np.asarray(s, dtype=float),
+                      np.zeros((6, 12)))
 
 
 def test_zero_innovation_accepted():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from objectslam import harness
 from objectslam.group import GroupState
 from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
                                 jacobian_check_suite, replay_log, run_filter,
@@ -76,19 +77,66 @@ def test_jacobian_check_suite_catches_injected_sign_bug():
         assert report["fd_errors"][name] > 1e-2
 
 
+def body_increments(poses):
+    """R_{i-1}^T (p_i - p_{i-1}) for consecutive (rotation, position) pairs."""
+    return [r0.T @ (p1 - p0) for (r0, p0), (_, p1) in zip(poses, poses[1:])]
+
+
+def synthesize_from(poses, noise_cov):
+    deltas = body_increments(poses)
+    total = np.sum(deltas, axis=0) if deltas else np.zeros(3)
+    return synthesize_constant_velocity_odometry(total, len(deltas), noise_cov)
+
+
 def test_constant_velocity_synthesis_no_history():
-    u = synthesize_constant_velocity_odometry([], np.eye(6))
+    u = synthesize_constant_velocity_odometry(np.zeros(3), 0, np.eye(6))
     assert np.allclose(u.rot, np.eye(3))
     assert np.allclose(u.pos, 0.0)
-    u = synthesize_constant_velocity_odometry([(np.eye(3), np.zeros(3))], np.eye(6))
+    u = synthesize_from([(np.eye(3), np.zeros(3))], np.eye(6))
     assert np.allclose(u.pos, 0.0)
 
 
 def test_constant_velocity_synthesis_exact_history():
     poses = [(np.eye(3), np.array([0.1 * i, 0.0, 0.0])) for i in range(10)]
-    u = synthesize_constant_velocity_odometry(poses, np.eye(6))
+    u = synthesize_from(poses, np.eye(6))
     assert np.allclose(u.rot, np.eye(3))
     assert np.allclose(u.pos, [0.1, 0.0, 0.0], atol=1e-14)
+
+
+def test_constant_velocity_synthesis_is_mean_of_increments():
+    # the running sum replay_log keeps gives the mean over the explicit
+    # trajectory, bit for bit
+    rng = np.random.default_rng(11)
+    poses = [(random_rotation(rng), rng.normal(size=3)) for _ in range(40)]
+    total = np.zeros(3)
+    for n, delta in enumerate(body_increments(poses)):
+        total = delta if n == 0 else total + delta
+        u = synthesize_constant_velocity_odometry(total, n + 1, np.eye(6))
+        expected = np.mean(body_increments(poses[:n + 2]), axis=0)
+        assert np.array_equal(u.pos, expected)
+        assert np.array_equal(u.rot, np.eye(3))
+
+
+def test_replay_synthesizes_mean_of_recorded_increments(monkeypatch):
+    # replay_log's running sum must give, at every synthesized step, the mean
+    # increment of the trajectory recorded before that step
+    made = []
+
+    def spy(*args):
+        u = synthesize_constant_velocity_odometry(*args)
+        made.append(u.pos)
+        return u
+
+    monkeypatch.setattr(harness, "synthesize_constant_velocity_odometry", spy)
+    steps, _ = corridor_steps(num_steps=30)
+    synth_cov = np.diag([0.02] * 3 + [0.05] * 3) ** 2
+    traj = replay_log(FilterSpec("riekf"), steps,
+                      synth_noise_cov=synth_cov)["trajectory"]
+    assert len(made) == 30 and len(traj) == 31
+    assert np.array_equal(made[0], np.zeros(3))
+    for step in range(2, 31):
+        expected = np.mean(body_increments(traj[:step]), axis=0)
+        assert np.array_equal(made[step - 1], expected)
 
 
 def corridor_steps(num_steps=120, step=0.1):
@@ -125,7 +173,7 @@ def test_replay_with_constant_velocity_odometry_converges():
     result = replay_log(FilterSpec("riekf"), steps, synth_noise_cov=synth_cov)
     assert not result["diverged"]
     # synthesized odometry approaches the true per-step translation
-    u = synthesize_constant_velocity_odometry(result["trajectory"], synth_cov)
+    u = synthesize_from(result["trajectory"], synth_cov)
     assert np.linalg.norm(u.pos - [0.1, 0.0, 0.0]) < 0.02
     assert result["metrics"]["robot_pos_rmse"] < 0.1
 

@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from objectslam.cli import main
 from objectslam.errors import MalformedRecordError
 from objectslam.harness import observability_experiment
-from objectslam.logio import (QUAT_NORM_TOL, read_jacobian_log,
+from objectslam.logio import (QUAT_NORM_TOL, _matrix_line, read_jacobian_log,
                               read_measurement_log, write_jacobian_log,
                               write_measurement_log)
 from objectslam.simulator import SimConfig, generate_world, simulate_run
@@ -245,21 +246,214 @@ def test_fuzz_every_line_parses_finite_or_names_its_line(tmp_path):
     def check(recs):
         path = tmp_path / "fuzz.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in recs))
-        try:
-            steps = read_measurement_log(path)
-        except MalformedRecordError as exc:
-            assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
-            return
-        for step, entry in steps.items():
-            assert type(step) is int and step >= 0
-            parsed = [(z.rot, z.pos, z.noise_cov) for z in entry.observations]
-            parsed += [(u.rot, u.pos, u.noise_cov) for u in [entry.odometry] if u]
-            parsed += list(entry.truth_features.values())
-            parsed += [entry.truth_robot] if entry.truth_robot else []
-            for rot, *rest in parsed:
-                assert all(np.all(np.isfinite(a)) for a in (rot, *rest))
-                assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-9)
-            for fid in entry.truth_features:
-                hash(fid)
+        _assert_parses_finite_or_names_line(path)
 
     check()
+
+
+def _assert_parses_finite_or_names_line(path):
+    try:
+        steps = read_measurement_log(path)
+    except MalformedRecordError as exc:
+        assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
+        return
+    for step, entry in steps.items():
+        assert type(step) is int and step >= 0
+        parsed = [(z.rot, z.pos, z.noise_cov) for z in entry.observations]
+        parsed += [(u.rot, u.pos, u.noise_cov) for u in [entry.odometry] if u]
+        parsed += list(entry.truth_features.values())
+        parsed += [entry.truth_robot] if entry.truth_robot else []
+        for rot, *rest in parsed:
+            assert all(np.all(np.isfinite(a)) for a in (rot, *rest))
+            assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-9)
+        for fid in entry.truth_features:
+            hash(fid)
+        assert step > 0 or entry.odometry is None
+
+
+def test_fuzz_raw_bytes_parse_finite_or_name_their_line(tmp_path):
+    # valid record lines, their bytes corrupted in place, and arbitrary byte
+    # strings (not necessarily UTF-8) mixed in one file
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    valid = st.builds(
+        lambda step, kind: json.dumps(_obs(step=step, kind=kind)).encode(),
+        st.integers(0, 3), st.sampled_from(["odom", "obs", "truth"]))
+
+    @st.composite
+    def corrupted(draw):
+        raw = bytearray(draw(valid))
+        for _ in range(draw(st.integers(1, 3))):
+            raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+        return bytes(raw)
+
+    lines = st.one_of(valid, corrupted(), st.binary(max_size=40))
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(lines, min_size=1, max_size=5))
+    def check(raw_lines):
+        path = tmp_path / "fuzz.jsonl"
+        path.write_bytes(b"\n".join(raw_lines) + b"\n")
+        _assert_parses_finite_or_names_line(path)
+
+    check()
+
+
+def test_non_utf8_byte_names_its_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    good = json.dumps(_obs()).encode()
+    path.write_bytes(good + b"\n" + good.replace(b'"a"', b'"\xff"') + b"\n")
+    with pytest.raises(MalformedRecordError, match="line 2: .*UTF-8"):
+        read_measurement_log(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("position", ["1", "2", "3"]),
+    ("position", [True, 0.0, 0.0]),
+    ("rotation", [1, 0, 0, "0"]),
+    ("cov", [False] * 21),
+    ("cov", [None] + [0.0] * 20),
+    ("position", {"x": 1, "y": 2, "z": 3}),
+    ("position", "123"),
+])
+def test_non_number_entries_rejected(tmp_path, field, value):
+    path = _write_records(tmp_path, _obs(), _obs(**{field: value}))
+    with pytest.raises(MalformedRecordError, match=f"line 2: {field}"):
+        read_measurement_log(path)
+
+
+def test_integer_entries_accepted(tmp_path):
+    steps = read_measurement_log(_write_records(tmp_path, _obs(position=[1, 2, 3])))
+    pos = steps[1].observations[0].pos
+    assert pos.dtype == float and np.array_equal(pos, [1.0, 2.0, 3.0])
+
+
+def test_second_odometry_at_one_step_rejected(tmp_path):
+    odom = _obs(kind="odom", step=2)
+    path = _write_records(tmp_path, odom, _obs(step=2), odom)
+    with pytest.raises(MalformedRecordError, match="line 3: second odometry.*step 2"):
+        read_measurement_log(path)
+
+
+def test_odometry_at_step_zero_rejected(tmp_path):
+    path = _write_records(tmp_path, _obs(step=0), _obs(kind="odom", step=0))
+    with pytest.raises(MalformedRecordError, match="line 2: odometry record at step 0"):
+        read_measurement_log(path)
+
+
+def test_deeply_nested_line_names_its_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(_obs()) + "\n" + "[" * 100000 + "\n")
+    with pytest.raises(MalformedRecordError, match="line 2: "):
+        read_measurement_log(path)
+
+
+def _jacobian_log_lines(tmp_path):
+    log, _ = observability_experiment("riekf", 1, 4, seed=1, noisy=True)
+    path = tmp_path / "jac.txt"
+    write_jacobian_log(path, log)
+    return path, path.read_text().splitlines()
+
+
+def _edit_line(path, lines, index, fn):
+    lines = list(lines)
+    lines[index] = fn(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("index", [1, 2])  # the first F, then the first H
+def test_jacobian_log_non_finite_entry_rejected(tmp_path, bad, index):
+    path, lines = _jacobian_log_lines(tmp_path)
+    tag = lines[index].split()[0]
+    _edit_line(path, lines, index, lambda s: s.rsplit(" ", 1)[0] + " " + bad)
+    with pytest.raises(MalformedRecordError,
+                       match=f"line {index + 1}: {tag} has non-finite"):
+        read_jacobian_log(path)
+
+
+@pytest.mark.parametrize("header", ["[1]", "1", "null", '"text"',
+                                    '{"filter": "riekf", "mode": "estimated", '
+                                    '"num_features": "1", "steps": 1}',
+                                    '{"filter": "riekf", "mode": "estimated", '
+                                    '"num_features": 1, "steps": 1, '
+                                    '"start_step": null}',
+                                    '{"filter": "riekf", "mode": "estimated", '
+                                    '"num_features": 1, "steps": 2.5}',
+                                    '{"filter": "riekf", "mode": "estimated", '
+                                    '"num_features": 1, "steps": 1, '
+                                    '"start_step": "3"}'])
+def test_jacobian_log_header_not_a_valid_object_rejected(tmp_path, header):
+    path = tmp_path / "jac.txt"
+    path.write_text(header + "\n")
+    with pytest.raises(MalformedRecordError, match="line 1: bad jacobian-log header"):
+        read_jacobian_log(path)
+
+
+def _reshape_line(line, rows, cols):
+    tag, step, _, _, *vals = line.split()
+    vals = (vals * 2)[:rows * cols] if rows * cols > 0 else []
+    return " ".join([tag, step, str(rows), str(cols), *vals])
+
+
+@pytest.mark.parametrize("index, rows, cols", [
+    (1, 11, 11),   # F must be d x d
+    (1, 6, 12),
+    (2, 6, 11),    # H must have d columns
+    (2, 0, 12),    # and at least one row
+    (2, -1, 12),
+])
+def test_jacobian_log_wrong_shape_names_its_line(tmp_path, index, rows, cols):
+    path, lines = _jacobian_log_lines(tmp_path)
+    _edit_line(path, lines, index, lambda s: _reshape_line(s, rows, cols))
+    with pytest.raises(MalformedRecordError, match=f"line {index + 1}: .*shape"):
+        read_jacobian_log(path)
+
+
+def test_jacobian_log_duplicate_matrix_rejected(tmp_path):
+    path, lines = _jacobian_log_lines(tmp_path)
+    path.write_text("\n".join(lines[:2] + lines[1:]) + "\n")
+    with pytest.raises(MalformedRecordError, match="line 3: second F for step 0"):
+        read_jacobian_log(path)
+
+
+def test_jacobian_log_non_utf8_byte_names_its_line(tmp_path):
+    path, lines = _jacobian_log_lines(tmp_path)
+    raw = path.read_bytes().split(b"\n")
+    raw[2] = raw[2] + b" \xfe"
+    path.write_bytes(b"\n".join(raw))
+    with pytest.raises(MalformedRecordError, match="line 3: .*UTF-8"):
+        read_jacobian_log(path)
+
+
+def _reference_matrix_line(tag, k, m):
+    # the Jacobian-log line format: repr of each float, row-major
+    vals = " ".join(repr(float(v)) for v in np.asarray(m).ravel())
+    return f"{tag} {k} {m.shape[0]} {m.shape[1]} {vals}\n"
+
+
+def test_saved_jacobian_log_bytes(tmp_path):
+    path = tmp_path / "jac.txt"
+    assert main(["observability", "--filter", "stdekf", "--mode", "ideal",
+                 "--num-features", "2", "--steps", "6", "--seed", "3",
+                 "--save-log", str(path),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    log = read_jacobian_log(path)
+    lines = path.read_text().splitlines(keepends=True)
+    expected = [lines[0]]
+    for k, (f, h) in enumerate(zip(log.F, log.H)):
+        expected.append(_reference_matrix_line("F", k, f))
+        if h is not None:
+            expected.append(_reference_matrix_line("H", k, h))
+    assert lines == expected
+
+
+def test_matrix_line_formats_edge_values_like_repr():
+    m = np.array([[-0.0, 5e-324, 1e16, 0.1],
+                  [-1.5e-300, 123456789.0, 1.0 / 3.0, 2.0 ** 60]])
+    assert _matrix_line("H", 4, m) == _reference_matrix_line("H", 4, m)
+    ints = np.arange(6).reshape(2, 3)
+    assert _matrix_line("F", 0, ints) == _reference_matrix_line("F", 0, ints)

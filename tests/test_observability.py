@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from objectslam.errors import DimensionMismatchError
 from objectslam.group import pos_block, rot_block
 from objectslam.harness import observability_experiment
 from objectslam.lie import skew
-from objectslam.observability import (JacobianLog, build_observability_matrix,
+from objectslam.observability import (DEFAULT_RANK_TOL, JacobianLog,
+                                      build_observability_matrix,
                                       invariant_gauge_basis, null_space,
                                       std_estimated_gauge_basis,
                                       std_ideal_gauge_basis,
@@ -166,3 +169,58 @@ def test_dimension_mismatch_rejected():
     log = JacobianLog("riekf", "estimated", 1)
     with pytest.raises(DimensionMismatchError):
         log.append(np.eye(11), None)
+
+
+def full_svd_null_space(m, tol=DEFAULT_RANK_TOL):
+    # reference: the full SVD, m x m U included
+    _, sv, vt = np.linalg.svd(m, full_matrices=True)
+    n_null = m.shape[1] - int(np.sum(sv > tol * sv[0] * max(m.shape)))
+    return vt[m.shape[1] - n_null:].T, sv
+
+
+@pytest.mark.parametrize("rows, cols, rank", [
+    (60, 12, 8),    # tall, as observability matrices are
+    (12, 12, 7),    # square
+    (5, 12, 5),     # wide: 7 null directions have no singular value
+    (6, 12, 3),     # wide and rank-deficient
+])
+def test_thin_null_space_matches_full_svd(rows, cols, rank):
+    rng = np.random.default_rng(rows * cols + rank)
+    m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+    ns = null_space(m)
+    ref_basis, ref_sv = full_svd_null_space(m)
+    assert ns.dimension == ref_basis.shape[1] == cols - rank
+    assert np.allclose(ns.basis.T @ ns.basis, np.eye(cols - rank), atol=1e-12)
+    assert subspace_contained(ns.basis, ref_basis) <= 1e-12
+    assert subspace_contained(ref_basis, ns.basis) <= 1e-12
+    assert ns.singular_values.shape == ref_sv.shape
+    assert np.max(np.abs(ns.singular_values - ref_sv)) <= 1e-12 * ref_sv[0]
+
+
+def test_report_singular_values_come_from_the_null_space_svd():
+    log, _ = observability_experiment("riekf", 2, 12, seed=11, noisy=True)
+    report = check_invariant_null_space(log)
+    ref = np.linalg.svd(build_observability_matrix(log), compute_uv=False)
+    assert report.singular_values.shape == ref.shape
+    assert np.max(np.abs(report.singular_values - ref)) <= 1e-12 * ref[0]
+    assert report.sigma_max == report.singular_values[0]
+
+
+def test_null_space_check_never_forms_the_full_u():
+    # a full SVD of an m-row matrix allocates an m x m U (m^2 * 8 bytes);
+    # the thin one needs memory linear in m
+    base, _ = observability_experiment("riekf", 1, 20, seed=12, noisy=True)
+    log = JacobianLog("riekf", "estimated", 1)
+    while sum(h.shape[0] for h in log.H if h is not None) < 2000:
+        for f, h in zip(base.F, base.H):
+            log.append(f, h)
+    rows = build_observability_matrix(log).shape[0]
+    assert rows >= 2000
+    tracemalloc.start()
+    try:
+        report = check_invariant_null_space(log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.null_dim == 6
+    assert peak < rows * rows * 8 / 10

@@ -170,9 +170,11 @@ def test_ideal_linearization_changes_jacobians_not_residual():
     inn_est = STANDARD.innovation(state, z)
     inn_ideal = STANDARD.innovation(state, z, linearization=truth)
     assert np.allclose(inn_est.y, inn_ideal.y)
-    assert not np.allclose(inn_est.H, inn_ideal.H)
+    h_est = STANDARD.observation_jacobian(state.mean, 0)
     h = STANDARD.observation_jacobian(state.mean, 0, linearization=truth)
-    assert np.allclose(inn_ideal.H, h)
+    assert not np.allclose(h_est, h)
+    assert np.allclose(inn_est.HP, h_est @ state.cov)
+    assert np.allclose(inn_ideal.HP, h @ state.cov)
 
 
 def test_ideal_equals_std_when_estimate_is_truth():
