@@ -10,15 +10,17 @@ from .ekf import INVARIANT, STANDARD, Convention, apply_std_error, propagate_mea
 from .errors import (DimensionMismatchError, DuplicateFeatureError,
                      IllConditionedInnovationError, InvalidRotationError,
                      LogDomainError, MalformedRecordError,
-                     SingularCovarianceError, UnknownFeatureError)
+                     MissingOdometryError, SingularCovarianceError,
+                     UnknownFeatureError)
 from .gating import GateDecision, gate
 from .group import (GroupState, group_compose, group_exp, group_inverse,
                     group_log, group_minus, identity_state, pos_block,
                     rot_block, tangent_dim)
 from .harness import (FilterSpec, RunConfig, inject_outliers,
                       jacobian_check_suite, observability_experiment,
-                      observability_report, replay_log, run_filter,
-                      run_monte_carlo, synthesize_constant_velocity_odometry)
+                      observability_report, replay_metrics, run_filter,
+                      run_monte_carlo, simulated_steps,
+                      synthesize_constant_velocity_odometry)
 from .lie import (left_jacobian, left_jacobian_inv, project_to_so3,
                   random_rotation, skew, so3_exp, so3_log)
 from .metrics import BLOCKS, ErrorSample, error_sample, nees, rmse

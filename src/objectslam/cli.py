@@ -7,13 +7,22 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import MissingOdometryError
 from .harness import (FilterSpec, RunConfig, format_summary_table,
                       jacobian_check_suite, observability_experiment,
-                      observability_report, replay_log, run_monte_carlo)
+                      observability_report, replay_metrics, run_filter,
+                      run_monte_carlo)
 from .lie import rot_to_quat
 from .logio import (read_jacobian_log, read_measurement_log,
                     write_jacobian_log, write_measurement_log)
 from .simulator import SimConfig, generate_world, simulate_run
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def _filter_specs(name: str, robust: bool) -> tuple:
@@ -51,7 +60,8 @@ def _cmd_simulate(args) -> int:
     if args.export_log:
         rng = np.random.default_rng(args.seed)
         world = generate_world(cfg.sim, rng)
-        run = simulate_run(cfg.sim, world, np.random.default_rng(args.seed))
+        run = simulate_run(cfg.sim, world, np.random.default_rng(args.seed),
+                           cfg.noise_scale)
         write_measurement_log(args.export_log, run.odometry, run.observations,
                               trace=run.trace)
     summary = run_monte_carlo(cfg)
@@ -70,31 +80,38 @@ def _cmd_replay(args) -> int:
                   file=sys.stderr)
             return 2
         synth_cov = np.diag(np.asarray(args.odom_sigma, dtype=float) ** 2)
-    result = replay_log(spec, steps, synth_noise_cov=synth_cov)
+    try:
+        result = run_filter(spec, steps, synth_noise_cov=synth_cov)
+    except MissingOdometryError as exc:
+        print(f"{exc}; replay with --synth-odom --odom-sigma S S S S S S",
+              file=sys.stderr)
+        return 2
+    mean = result.final_state.mean
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trajectory.csv", "w") as fh:
         fh.write("step,qw,qx,qy,qz,x,y,z\n")
-        for i, (rot, pos) in enumerate(result["trajectory"]):
+        for i, (rot, pos) in enumerate(result.trajectory):
             q = rot_to_quat(rot)
             fh.write(f"{i}," + ",".join(f"{v:.12g}" for v in (*q, *pos)) + "\n")
     with open(out / "features.csv", "w") as fh:
         fh.write("feature_id,qw,qx,qy,qz,x,y,z\n")
-        for fid, (rot, pos) in result["features"].items():
+        for fid, rot, pos in zip(mean.feature_ids, mean.feature_rots, mean.feature_pos):
             q = rot_to_quat(rot)
             fh.write(f"{fid}," + ",".join(f"{v:.12g}" for v in (*q, *pos)) + "\n")
     with open(out / "gates.csv", "w") as fh:
         fh.write("step,feature_id,accepted,max_margin\n")
-        for step, fid, accepted, margin in result["gates"]:
+        for step, fid, accepted, margin in result.gates:
             fh.write(f"{step},{fid},{int(accepted)},{margin:.6g}\n")
-    if result["metrics"] is not None:
+    metrics = replay_metrics(steps, result)
+    if metrics is not None:
         with open(out / "metrics.json", "w") as fh:
-            json.dump(result["metrics"], fh, indent=2)
-        print(json.dumps(result["metrics"], indent=2))
-    print(f"replayed {len(result['trajectory'])} steps, "
-          f"{len(result['features'])} features, "
-          f"{sum(1 for g in result['gates'] if not g[2])} rejected observations")
-    return 0 if not result.get("diverged") else 1
+            json.dump(metrics, fh, indent=2)
+        print(json.dumps(metrics, indent=2))
+    print(f"replayed {len(result.trajectory)} steps, "
+          f"{mean.num_features} features, "
+          f"{result.rejected} rejected observations")
+    return 0 if not result.diverged else 1
 
 
 def _cmd_observability(args) -> int:
@@ -146,19 +163,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", choices=["riekf", "stdekf", "ideal", "all"],
                    default="all")
     p.add_argument("--robust", action="store_true", help="enable 3-sigma gating")
-    p.add_argument("--runs", "-m", type=int, default=None,
+    p.add_argument("--runs", "-m", type=_positive_int, default=None,
                    help="Monte-Carlo runs (default 50)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loops", type=int, default=25)
-    p.add_argument("--num-features", type=int, default=6)
-    p.add_argument("--eval-stride", type=int, default=50)
+    p.add_argument("--loops", type=_positive_int, default=25)
+    p.add_argument("--num-features", type=_positive_int, default=6)
+    p.add_argument("--eval-stride", type=_positive_int, default=50)
     p.add_argument("--zero-noise", action="store_true",
                    help="noise-free measurements (filter covariances unchanged)")
     p.add_argument("--emit-jacobian-log", action="store_true")
     p.add_argument("--export-log", metavar="PATH",
                    help="write run 0's measurement log (with truth records)")
     p.add_argument("--out", metavar="DIR", help="output directory")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_noise_flags(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -179,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check a previously saved Jacobian log")
     p.add_argument("--filter", choices=["riekf", "stdekf"], default="riekf")
     p.add_argument("--mode", choices=["estimated", "ideal"], default="estimated")
-    p.add_argument("--num-features", type=int, default=1)
-    p.add_argument("--steps", type=int, default=40)
+    p.add_argument("--num-features", type=_positive_int, default=1)
+    p.add_argument("--steps", type=_positive_int, default=40)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--save-log", metavar="PATH")
@@ -189,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-jacobians", help="finite-difference oracle suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-states", type=int, default=100)
+    p.add_argument("--num-states", type=_positive_int, default=100)
     p.set_defaults(func=_cmd_check_jacobians)
     return parser
 

@@ -31,3 +31,7 @@ class SingularCovarianceError(RuntimeError):
 
 class MalformedRecordError(ValueError):
     """A measurement-log line cannot be parsed; carries the line number."""
+
+
+class MissingOdometryError(ValueError):
+    """A measurement stream lacks odometry at a step and no synthesis noise was given."""

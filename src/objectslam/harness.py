@@ -14,13 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .ekf import INVARIANT, STANDARD, Convention, apply_std_error, propagate_mean
-from .errors import IllConditionedInnovationError, LogDomainError
+from .ekf import INVARIANT, STANDARD, Convention, propagate_mean
+from .errors import (IllConditionedInnovationError, LogDomainError,
+                     MissingOdometryError)
 from .gating import gate
-from .group import (GroupState, group_compose, group_exp, group_minus,
-                    group_log, pos_block, rot_block, tangent_dim)
+from .group import GroupState, pos_block, rot_block, tangent_dim
 from .lie import (batch_left_jacobian, batch_so3_exp, batch_so3_log,
                   random_rotation, so3_exp, so3_log)
+from .logio import ReplayStep, write_jacobian_log
 from .metrics import BLOCKS, collect_samples, nees, rmse, standard_error_vector
 from .observability import JacobianLog, check_invariant_null_space, check_standard_null_space
 from .simulator import SimConfig, _noise_factor, generate_world, simulate_run
@@ -105,17 +106,38 @@ def _check_divergence(state: FilterState, truth: GroupState | None,
     return ""
 
 
-def run_filter(spec: FilterSpec, odometry: list, observations: list,
+def simulated_steps(odometry: list, observations: list,
+                    truth_states: list | None = None) -> dict:
+    """The {step: ReplayStep} stream of a simulated run, as
+    read_measurement_log returns it: odometry[s - 1] is recorded at step s,
+    and truth records are attached when truth_states is given."""
+    steps = {}
+    for s, obs in enumerate(observations):
+        entry = ReplayStep(odometry=odometry[s - 1] if s else None,
+                           observations=obs)
+        if truth_states is not None:
+            t = truth_states[s]
+            entry.truth_robot = (t.robot_rot, t.robot_pos)
+            entry.truth_features = {fid: (t.feature_rots[j], t.feature_pos[j])
+                                    for j, fid in enumerate(t.feature_ids)}
+        steps[s] = entry
+    return steps
+
+
+def run_filter(spec: FilterSpec, steps: dict,
                truth_states: list | None = None, eval_steps=frozenset(),
                capture_jacobians: bool = False, expected_features: int | None = None,
                divergence_error: float = 1e3,
-               max_logged_steps: int | None = None) -> RunResult:
-    """Drive one filter over a measurement stream.
+               max_logged_steps: int | None = None,
+               synth_noise_cov: np.ndarray | None = None) -> RunResult:
+    """Drive one filter over a {step: ReplayStep} measurement stream.
 
-    observations[s] holds the relative-pose observations of step s
-    (s = 0 .. N); odometry[s] moves step s to s+1. The ideal variant and any
-    metric sampling need truth_states. Jacobian capture starts on the first
-    step after the state reaches expected_features features.
+    Walks steps 0 .. max(steps); a missing step has no records. The odometry
+    at step s moves step s-1 to s; a step without one gets constant-velocity
+    odometry synthesized from the trajectory so far, which needs
+    synth_noise_cov. The ideal variant and any metric sampling need
+    truth_states. Jacobian capture starts on the first step after the state
+    reaches expected_features features.
     """
     conv = spec.convention
     ideal = spec.kind == "ideal"
@@ -130,12 +152,25 @@ def run_filter(spec: FilterSpec, odometry: list, observations: list,
     jac_active = False
     log_f, log_h = [], []
     log_start = 0
-    num_steps = len(observations) - 1
+    # running sum of the body-frame increments between recorded estimates;
+    # it starts at the first increment, not at zeros, so it is the sum that
+    # np.sum over all of them forms (a -0.0 component stays -0.0)
+    increment_sum, increments = np.zeros(3), 0
+    no_records = ReplayStep()
+    num_steps = max(steps, default=-1)
     for step in range(num_steps + 1):
+        rec = steps.get(step, no_records)
         lin_prev = truth_states[step - 1] if ideal else None
         lin_here = truth_states[step] if ideal else None
         if step > 0:
-            u = odometry[step - 1]
+            u = rec.odometry
+            if u is None:
+                if synth_noise_cov is None:
+                    raise MissingOdometryError(
+                        f"step {step} has no odometry record; constant-velocity "
+                        "synthesis needs an explicit noise covariance")
+                u = synthesize_constant_velocity_odometry(increment_sum, increments,
+                                                          synth_noise_cov)
             # F entries are transitions between logged steps, so the first one
             # is recorded only once an H entry exists
             if jac_active and log_h and len(log_f) < len(log_h):
@@ -144,10 +179,10 @@ def run_filter(spec: FilterSpec, odometry: list, observations: list,
         if jac_active and (max_logged_steps is None or len(log_h) < max_logged_steps):
             if not log_h:
                 log_start = step
-            log_h.append(_prediction_jacobian(conv, state, observations[step],
+            log_h.append(_prediction_jacobian(conv, state, rec.observations,
                                               lin_here))
         try:
-            for z in observations[step]:
+            for z in rec.observations:
                 state = _process_observation(spec, state, z, lin_here,
                                              result.gates, step)
         except (IllConditionedInnovationError, LogDomainError) as exc:
@@ -157,6 +192,11 @@ def run_filter(spec: FilterSpec, odometry: list, observations: list,
         if capture_jacobians and not jac_active \
                 and state.mean.num_features == expected_features:
             jac_active = True
+        if synth_noise_cov is not None and result.trajectory:
+            prev_rot, prev_pos = result.trajectory[-1]
+            delta = prev_rot.T @ (state.mean.robot_pos - prev_pos)
+            increment_sum = delta if increments == 0 else increment_sum + delta
+            increments += 1
         result.trajectory.append((state.mean.robot_rot, state.mean.robot_pos))
         if step in eval_steps or step == num_steps:
             reason = _check_divergence(state, truth_states[step]
@@ -197,83 +237,36 @@ def synthesize_constant_velocity_odometry(increment_sum: np.ndarray, count: int,
     return Odometry(np.eye(3), increment_sum / count, noise_cov)
 
 
-def replay_log(spec: FilterSpec, steps: dict, synth_noise_cov=None,
-               divergence_error: float = 1e3) -> dict:
-    """Run a filter over a parsed measurement log.
-
-    Steps without an odometry record fall back to constant-velocity synthesis
-    (requires synth_noise_cov). Returns the trajectory, final feature poses,
-    gate decisions, and error metrics when truth records are present.
-    """
-    state = initial_filter_state()
-    gates: list = []
-    if not steps:
-        return {"trajectory": [], "features": {}, "gates": [],
-                "metrics": None, "final_state": state}
-    last = max(steps)
-    trajectory = []
-    # running sum of the body-frame increments between recorded estimates;
-    # it starts at the first increment, not at zeros, so it is the sum that
-    # np.sum over all of them forms (a -0.0 component stays -0.0)
-    increment_sum, increments = np.zeros(3), 0
-    truth_robot_err = []
-    failure = ""
-    for step in range(last + 1):
+def replay_metrics(steps: dict, result: RunResult) -> dict | None:
+    """Error metrics of a run against the stream's truth records: robot RMSE
+    over the run's trajectory, feature RMSE of the final state against the
+    last step's truth; None when no step of the trajectory has truth."""
+    robot_err = []
+    for step, (rot, pos) in enumerate(result.trajectory):
         rec = steps.get(step)
-        if step > 0:
-            u = rec.odometry if rec is not None else None
-            if u is None:
-                if synth_noise_cov is None:
-                    raise ValueError(
-                        f"step {step} has no odometry record; constant-velocity "
-                        "synthesis needs an explicit noise covariance")
-                u = synthesize_constant_velocity_odometry(increment_sum, increments,
-                                                          synth_noise_cov)
-            state = spec.convention.propagate(state, u)
-        if rec is not None:
-            try:
-                for z in rec.observations:
-                    state = _process_observation(spec, state, z, None, gates, step)
-            except (IllConditionedInnovationError, LogDomainError) as exc:
-                failure = f"step {step}: {exc}"
-                break
-        if trajectory:
-            prev_rot, prev_pos = trajectory[-1]
-            delta = prev_rot.T @ (state.mean.robot_pos - prev_pos)
-            increment_sum = delta if increments == 0 else increment_sum + delta
-            increments += 1
-        trajectory.append((state.mean.robot_rot, state.mean.robot_pos))
         if rec is not None and rec.truth_robot is not None:
             r_t, p_t = rec.truth_robot
-            truth_robot_err.append(np.concatenate([
-                so3_log(r_t @ state.mean.robot_rot.T),
-                p_t - state.mean.robot_pos]))
-    metrics = None
-    if truth_robot_err:
-        errs = np.asarray(truth_robot_err)
-        metrics = {
-            "robot_rot_rmse": rmse(list(errs[:, 0:3])),
-            "robot_pos_rmse": rmse(list(errs[:, 3:6])),
-            "final_robot_rot_error": float(np.linalg.norm(errs[-1, 0:3])),
-            "final_robot_pos_error": float(np.linalg.norm(errs[-1, 3:6])),
-        }
-        last_rec = steps.get(last)
-        if last_rec is not None and last_rec.truth_features:
-            f_rot, f_pos = [], []
-            for fid, (r_t, p_t) in last_rec.truth_features.items():
-                if fid in state.mean.feature_ids:
-                    j = state.mean.index_of(fid)
-                    f_rot.append(so3_log(r_t @ state.mean.feature_rots[j].T))
-                    f_pos.append(p_t - state.mean.feature_pos[j])
-            if f_rot:
-                metrics["feature_rot_rmse"] = rmse(f_rot)
-                metrics["feature_pos_rmse"] = rmse(f_pos)
-    features = {fid: (state.mean.feature_rots[j], state.mean.feature_pos[j])
-                for j, fid in enumerate(state.mean.feature_ids)}
-    divergence = failure or _check_divergence(state, None, divergence_error)
-    return {"trajectory": trajectory, "features": features, "gates": gates,
-            "metrics": metrics, "final_state": state,
-            "diverged": bool(divergence), "reason": divergence}
+            robot_err.append(np.concatenate([so3_log(r_t @ rot.T), p_t - pos]))
+    if not robot_err:
+        return None
+    errs = np.asarray(robot_err)
+    metrics = {
+        "robot_rot_rmse": rmse(list(errs[:, 0:3])),
+        "robot_pos_rmse": rmse(list(errs[:, 3:6])),
+        "final_robot_rot_error": float(np.linalg.norm(errs[-1, 0:3])),
+        "final_robot_pos_error": float(np.linalg.norm(errs[-1, 3:6])),
+    }
+    mean = result.final_state.mean
+    f_rot, f_pos = [], []
+    for fid, (r_t, p_t) in steps[max(steps)].truth_features.items():
+        if fid in mean.feature_ids:
+            j = mean.index_of(fid)
+            f_rot.append(so3_log(r_t @ mean.feature_rots[j].T))
+            f_pos.append(p_t - mean.feature_pos[j])
+    if f_rot:
+        metrics["feature_rot_rmse"] = rmse(f_rot)
+        metrics["feature_pos_rmse"] = rmse(f_pos)
+    return metrics
 
 
 def inject_outliers(steps: dict, fraction: float, scale: float,
@@ -320,12 +313,13 @@ def _mc_worker(args):
     rng = np.random.default_rng((cfg.seed
                                  if cfg.seed is not None else cfg.sim.seed) + run_index)
     sim = simulate_run(cfg.sim, world, rng, cfg.noise_scale)
+    steps = simulated_steps(sim.odometry, sim.observations)
     n = cfg.sim.num_steps
     eval_steps = set(range(cfg.eval_stride, n + 1, cfg.eval_stride)) | {n}
     out = {}
     for spec in cfg.filters:
         out[spec.name] = run_filter(
-            spec, sim.odometry, sim.observations, sim.trace.states,
+            spec, steps, sim.trace.states,
             eval_steps=eval_steps,
             capture_jacobians=capture and spec.kind != "ideal",
             expected_features=cfg.sim.num_features if capture else None,
@@ -400,10 +394,8 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
             json.dump(summary, fh, indent=2)
         with open(out_dir / "summary.txt", "w") as fh:
             fh.write(format_summary_table(summary))
-        if jac_logs:
-            from .logio import write_jacobian_log
-            for name, log in jac_logs.items():
-                write_jacobian_log(out_dir / f"jacobians-{name}.txt", log)
+        for name, log in jac_logs.items():
+            write_jacobian_log(out_dir / f"jacobians-{name}.txt", log)
     return summary
 
 
@@ -448,9 +440,9 @@ def observability_experiment(kind: str, num_features: int, steps: int,
     world = generate_world(cfg, rng)
     run = simulate_run(cfg, world, rng, 1.0 if noisy else 0.0)
     spec = FilterSpec(kind)
-    result = run_filter(spec, run.odometry, run.observations, run.trace.states,
-                        capture_jacobians=True, expected_features=num_features,
-                        max_logged_steps=steps)
+    result = run_filter(spec, simulated_steps(run.odometry, run.observations),
+                        run.trace.states, capture_jacobians=True,
+                        expected_features=num_features, max_logged_steps=steps)
     log = result.jacobian_log
     if not noisy:
         # estimates coincide with truth on noise-free data
@@ -502,14 +494,6 @@ def _noisy_odometry_of(u: Odometry, w: np.ndarray) -> Odometry:
     return Odometry(so3_exp(w[0:3]) @ u.rot, u.pos + w[3:6], u.noise_cov)
 
 
-def _invariant_error(true_state: GroupState, est: GroupState) -> np.ndarray:
-    return group_log(group_minus(true_state, est))
-
-
-def _perturb_invariant(mean: GroupState, xi: np.ndarray) -> GroupState:
-    return group_compose(group_exp(xi, mean.feature_ids), mean)
-
-
 def _augmented_truth(true_state: GroupState, z: PoseObservation,
                      v: np.ndarray) -> GroupState:
     """Exact new-feature pose implied by observation z under noise v."""
@@ -528,21 +512,23 @@ def jacobian_check_suite(seed: int = 0, num_states: int = 100,
     """Compare every analytic Jacobian against central finite differences and
     the augmentation covariances against a sampling oracle.
 
-    overrides maps check names to replacement analytic-matrix callables; used
-    by negative-control tests to prove the suite catches sign bugs.
+    Each convention is perturbed with its own retraction and measured with
+    its own error map. overrides maps check names to replacement
+    analytic-matrix callables; used by negative-control tests to prove the
+    suite catches sign bugs.
     """
     rng = np.random.default_rng(seed)
     overrides = overrides or {}
-    fd_errors = {name: 0.0 for name in
-                 ("ri.F", "ri.G", "ri.H", "ri.aug", "std.F", "std.G",
-                  "std.H", "std.aug")}
+    fd_errors = {f"{tag}.{name}": 0.0 for tag in ("ri", "std")
+                 for name in ("F", "G", "H", "aug")}
 
-    def pick(name, value):
-        return overrides[name](value) if name in overrides else value
-
-    def rel(analytic, fd):
-        return float(np.linalg.norm(analytic - fd)
-                     / max(np.linalg.norm(analytic), 1e-12))
+    def check(name, analytic, fn, dim):
+        if name in overrides:
+            analytic = overrides[name](analytic)
+        fd = _numeric_jacobian(fn, dim)
+        err = float(np.linalg.norm(analytic - fd)
+                    / max(np.linalg.norm(analytic), 1e-12))
+        fd_errors[name] = max(fd_errors[name], err)
 
     for _ in range(num_states):
         k = int(rng.integers(1, 4))
@@ -553,82 +539,24 @@ def jacobian_check_suite(seed: int = 0, num_states: int = 100,
                      np.diag(rng.uniform(0.01, 0.1, size=6) ** 2))
         j = int(rng.integers(0, k))
         omega = np.diag(rng.uniform(0.01, 0.1, size=6) ** 2)
-        z = _exact_observation(mean, j, omega)
-        pred = propagate_mean(mean, u)
-
-        # invariant filter: F (identity), G, H
-        f_ri, g_ri = INVARIANT.propagation_jacobians(state, u)
-        f_ri = pick("ri.F", f_ri)
-        g_ri = pick("ri.G", g_ri)
-        fd = _numeric_jacobian(
-            lambda xi: _invariant_error(
-                propagate_mean(_perturb_invariant(mean, xi), u), pred), d)
-        fd_errors["ri.F"] = max(fd_errors["ri.F"], rel(f_ri, fd))
-        fd = _numeric_jacobian(
-            lambda w: _invariant_error(
-                propagate_mean(mean, _noisy_odometry_of(u, w)), pred), 6)
-        fd_errors["ri.G"] = max(fd_errors["ri.G"], rel(g_ri, fd))
-        h_ri = pick("ri.H", INVARIANT.observation_jacobian(mean, j))
-
-        def y_of_xi(xi, _stdh=False):
-            true_state = _perturb_invariant(mean, xi) if not _stdh \
-                else apply_std_error(mean, xi)
-            z_true = _exact_observation(
-                GroupState(true_state.robot_rot, true_state.robot_pos,
-                           true_state.feature_rots, true_state.feature_pos,
-                           mean.feature_ids), j, omega)
-            if _stdh:
-                return STANDARD.innovation(state, z_true).y
-            return INVARIANT.innovation(state, z_true).y
-
-        fd = _numeric_jacobian(y_of_xi, d)
-        fd_errors["ri.H"] = max(fd_errors["ri.H"], rel(h_ri, fd))
-
-        # invariant augmentation [A | B] for a first-seen feature
         z_new = PoseObservation("new", random_rotation(rng),
                                 rng.normal(size=3), omega)
-        a_ri, b_ri = INVARIANT.augmentation_jacobians(state, z_new)
-        ab = pick("ri.aug", np.hstack([a_ri, b_ri]))
-        est_aug_ri = INVARIANT.initialize_feature(state, z_new).mean
-
-        def aug_err_ri(xiv):
-            xi, v = xiv[:d], xiv[d:]
-            true_state = _perturb_invariant(mean, xi)
-            return _invariant_error(_augmented_truth(true_state, z_new, v),
-                                    est_aug_ri)
-
-        fd = _numeric_jacobian(aug_err_ri, d + 6)
-        fd_errors["ri.aug"] = max(fd_errors["ri.aug"], rel(ab, fd))
-
-        # standard filter: F, G, H (linearized at the estimate == truth here)
-        f_std, g_std = STANDARD.propagation_jacobians(state, u)
-        f_std = pick("std.F", f_std)
-        g_std = pick("std.G", g_std)
-        fd = _numeric_jacobian(
-            lambda eta: standard_error_vector(
-                propagate_mean(apply_std_error(mean, eta), u), pred), d)
-        fd_errors["std.F"] = max(fd_errors["std.F"], rel(f_std, fd))
-        fd = _numeric_jacobian(
-            lambda w: standard_error_vector(
+        pred = propagate_mean(mean, u)
+        # analytic Jacobians at the estimate against errors perturbed about it
+        for conv, tag in ((INVARIANT, "ri"), (STANDARD, "std")):
+            f, g = conv.propagation_jacobians(state, u)
+            check(f"{tag}.F", f, lambda xi: conv.error(
+                propagate_mean(conv.retract(mean, xi), u), pred), d)
+            check(f"{tag}.G", g, lambda w: conv.error(
                 propagate_mean(mean, _noisy_odometry_of(u, w)), pred), 6)
-        fd_errors["std.G"] = max(fd_errors["std.G"], rel(g_std, fd))
-        h_std = pick("std.H", STANDARD.observation_jacobian(mean, j))
-        fd = _numeric_jacobian(lambda eta: y_of_xi(eta, _stdh=True), d)
-        fd_errors["std.H"] = max(fd_errors["std.H"], rel(h_std, fd))
-
-        # standard augmentation [A | B]
-        a_std, b_std = STANDARD.augmentation_jacobians(state, z_new)
-        ab_std = pick("std.aug", np.hstack([a_std, b_std]))
-        est_aug_std = STANDARD.initialize_feature(state, z_new).mean
-
-        def aug_err_std(xiv):
-            eta, v = xiv[:d], xiv[d:]
-            true_state = apply_std_error(mean, eta)
-            return standard_error_vector(
-                _augmented_truth(true_state, z_new, v), est_aug_std)
-
-        fd = _numeric_jacobian(aug_err_std, d + 6)
-        fd_errors["std.aug"] = max(fd_errors["std.aug"], rel(ab_std, fd))
+            check(f"{tag}.H", conv.observation_jacobian(mean, j),
+                  lambda xi: conv.innovation(state, _exact_observation(
+                      conv.retract(mean, xi), j, omega)).y, d)
+            a, b = conv.augmentation_jacobians(state, z_new)
+            est_aug = conv.initialize_feature(state, z_new).mean
+            check(f"{tag}.aug", np.hstack([a, b]), lambda xiv: conv.error(
+                _augmented_truth(conv.retract(mean, xiv[:d]), z_new, xiv[d:]),
+                est_aug), d + 6)
 
     sampling = {}
     for conv in (INVARIANT, STANDARD):

@@ -10,8 +10,10 @@ integers, numbers are finite JSON numbers (not strings or booleans), feature
 ids are hashable, a step holds at most one odometry record and step 0 none,
 and quaternions whose norm is within QUAT_NORM_TOL of 1 are normalized (others
 are rejected). A line that fails raises MalformedRecordError naming its line
-number. Jacobian logs are checked the same way: a JSON-object header, finite
-entries, and F and H shapes that match the header's state dimension.
+number. Jacobian logs are checked the same way: a JSON-object header with
+known filter and mode tags and, when present, an anchor of finite positions
+(robot_pos, and one feature_pos row per feature), finite entries, and F and H
+shapes that match the header's state dimension.
 """
 
 import json
@@ -32,6 +34,9 @@ _TRIU = np.triu_indices(6)
 QUAT_NORM_TOL = 1e-4
 # what json.loads makes of a JSON number (bool is excluded by exact type)
 _NUMBER_TYPES = frozenset((int, float))
+# the tags a Jacobian-log header may carry
+_JACOBIAN_FILTERS = ("riekf", "stdekf", "ideal")
+_JACOBIAN_MODES = ("estimated", "ideal")
 
 
 def _pack_cov(cov: np.ndarray) -> list:
@@ -214,13 +219,26 @@ def read_jacobian_log(path) -> JacobianLog:
         for name, value in counts.items():
             if type(value) is not int or value < 0:
                 raise ValueError(f"{name} {value!r} is not a non-negative integer")
+        for name, allowed in (("filter", _JACOBIAN_FILTERS), ("mode", _JACOBIAN_MODES)):
+            if header[name] not in allowed:
+                raise ValueError(f"{name} {header[name]!r} is not one of {allowed}")
+        anchor = header.get("anchor")
+        if anchor is not None and not isinstance(anchor, dict):
+            raise ValueError(f"anchor {anchor!r} is not a JSON object")
         log = JacobianLog(header["filter"], header["mode"], counts["num_features"],
-                          start_step=counts["start_step"],
-                          anchor=header.get("anchor"))
+                          start_step=counts["start_step"], anchor=anchor)
         steps = counts["steps"]
         d = log.state_dim
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedRecordError(f"line 1: bad jacobian-log header: {exc}") from None
+    if anchor is not None:
+        _finite_vector(anchor.get("robot_pos"), "anchor robot_pos", 3, 1)
+        rows = anchor.get("feature_pos")
+        if type(rows) is not list or len(rows) != log.num_features:
+            raise MalformedRecordError(
+                f"line 1: anchor feature_pos needs {log.num_features} rows of 3")
+        for row in rows:
+            _finite_vector(row, "anchor feature_pos row", 3, 1)
     fs: dict[int, np.ndarray] = {}
     hs: dict[int, np.ndarray] = {}
     for lineno, line in lines:

@@ -13,9 +13,9 @@ from objectslam.group import (group_compose, group_exp, group_inverse,
                               group_log, rot_block, tangent_dim)
 from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
                                 jacobian_check_suite,
-                                observability_experiment, replay_log,
+                                observability_experiment, replay_metrics,
                                 run_filter, run_monte_carlo,
-                                sample_augmented_covariance)
+                                sample_augmented_covariance, simulated_steps)
 from objectslam.lie import random_rotation, so3_log
 from objectslam.metrics import BLOCKS, standard_error_vector
 from objectslam.observability import (build_observability_matrix,
@@ -209,31 +209,20 @@ def test_criterion_8_robust_gating():
     world = generate_world(cfg, np.random.default_rng(SEED))
     run = simulate_run(cfg, world, np.random.default_rng(SEED), 1.0)
 
-    clean = run_filter(FilterSpec("riekf", robust=True), run.odometry,
-                       run.observations, run.trace.states)
+    steps = simulated_steps(run.odometry, run.observations, run.trace.states)
+    clean = run_filter(FilterSpec("riekf", robust=True), steps, run.trace.states)
     clean_rate = clean.rejected / len(clean.gates)
 
-    from objectslam.logio import ReplayStep
-    steps = {}
-    for i, obs in enumerate(run.observations):
-        entry = ReplayStep(observations=list(obs))
-        if i > 0:
-            entry.odometry = run.odometry[i - 1]
-        truth = run.trace.states[i]
-        entry.truth_robot = (truth.robot_rot, truth.robot_pos)
-        entry.truth_features = {fid: (truth.feature_rots[j], truth.feature_pos[j])
-                                for j, fid in enumerate(truth.feature_ids)}
-        steps[i] = entry
     corrupted, injected = inject_outliers(steps, 0.05, 10.0,
                                           np.random.default_rng(SEED + 1))
-    plain = replay_log(FilterSpec("riekf"), corrupted)
-    robust = replay_log(FilterSpec("riekf", robust=True), corrupted)
-    rejected_keys = {(s, fid) for s, fid, accepted, _ in robust["gates"]
+    plain = run_filter(FilterSpec("riekf"), corrupted)
+    robust = run_filter(FilterSpec("riekf", robust=True), corrupted)
+    rejected_keys = {(s, fid) for s, fid, accepted, _ in robust.gates
                      if not accepted}
     caught = sum(1 for key in injected if key in rejected_keys)
     catch_rate = caught / len(injected)
-    rmse_plain = plain["metrics"]["robot_pos_rmse"]
-    rmse_robust = robust["metrics"]["robot_pos_rmse"]
+    rmse_plain = replay_metrics(corrupted, plain)["robot_pos_rmse"]
+    rmse_robust = replay_metrics(corrupted, robust)["robot_pos_rmse"]
     ok = (clean_rate <= 0.05 and catch_rate >= 0.95
           and rmse_robust < rmse_plain)
     detail = (f"clean-run rejection {clean_rate:.3f} <= 0.05; "
@@ -248,10 +237,11 @@ def test_criterion_9_zero_noise_sanity():
     world = generate_world(cfg, np.random.default_rng(SEED))
     run = simulate_run(cfg, world, np.random.default_rng(SEED), 0.0)
     worst = 0.0
+    steps = simulated_steps(run.odometry, run.observations)
     variants = [FilterSpec(k, robust=r) for k in ("riekf", "stdekf", "ideal")
                 for r in (False, True)]
     for spec in variants:
-        res = run_filter(spec, run.odometry, run.observations, run.trace.states)
+        res = run_filter(spec, steps, run.trace.states)
         assert not res.diverged, spec.name
         for step, (rot, pos) in enumerate(res.trajectory):
             truth = run.trace.states[step]

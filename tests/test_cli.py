@@ -1,6 +1,11 @@
 import json
 
+import numpy as np
+import pytest
+
 from objectslam.cli import main
+from objectslam.logio import read_measurement_log, write_measurement_log
+from objectslam.simulator import SimConfig, generate_world, simulate_run
 
 
 def test_check_jacobians_command(capsys):
@@ -107,3 +112,59 @@ def test_zero_noise_simulation(tmp_path, capsys):
     assert rc == 0
     summary = json.loads((tmp_path / "zn" / "summary.json").read_text())
     assert summary["filters"]["riekf"]["final"]["robot-pose"]["rmse"] < 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["observability", "--steps", "0"],
+    ["observability", "--steps", "-2"],
+    ["observability", "--num-features", "-1"],
+    ["observability", "--num-features", "0"],
+    ["simulate", "--loops", "0"],
+    ["simulate", "--eval-stride", "0"],
+    ["simulate", "--runs", "0"],
+    ["simulate", "--num-features", "0"],
+    ["simulate", "--jobs", "0"],
+    ["check-jacobians", "--num-states", "0"],
+    ["check-jacobians", "--num-states", "-3"],
+])
+def test_non_positive_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "is not a positive integer" in capsys.readouterr().err
+
+
+def test_replay_without_odometry_exits_2_with_step_and_hint(tmp_path, capsys):
+    cfg = SimConfig(loops=1, seed=3)
+    world = generate_world(cfg, np.random.default_rng(3))
+    run = simulate_run(cfg, world, np.random.default_rng(3))
+    log_path = tmp_path / "visual.jsonl"
+    write_measurement_log(log_path, [], run.observations)
+    rc = main(["replay", "--log", str(log_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "step 1 has no odometry record" in err
+    assert "--synth-odom --odom-sigma" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_noise_export_is_noise_free(tmp_path):
+    log_path = tmp_path / "run.jsonl"
+    rc = main(["simulate", "--filter", "riekf", "--runs", "1", "--loops", "1",
+               "--seed", "7", "--zero-noise", "--eval-stride", "40",
+               "--export-log", str(log_path)])
+    assert rc == 0
+    steps = read_measurement_log(log_path)
+    observed = 0
+    for step, rec in steps.items():
+        r_r, p_r = rec.truth_robot
+        for z in rec.observations:
+            r_f, p_f = rec.truth_features[z.feature_id]
+            assert np.max(np.abs(z.rot - r_r.T @ r_f)) < 1e-12
+            assert np.max(np.abs(z.pos - r_r.T @ (p_f - p_r))) < 1e-12
+            observed += 1
+        if step > 0:
+            r_0, p_0 = steps[step - 1].truth_robot
+            assert np.max(np.abs(rec.odometry.rot - r_0.T @ r_r)) < 1e-12
+            assert np.max(np.abs(rec.odometry.pos - r_0.T @ (p_r - p_0))) < 1e-12
+    assert observed > 100

@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from objectslam import harness
 from objectslam.group import GroupState
+from objectslam.errors import MissingOdometryError
 from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
-                                jacobian_check_suite, replay_log, run_filter,
-                                run_monte_carlo,
+                                jacobian_check_suite, replay_metrics, run_filter,
+                                run_monte_carlo, simulated_steps,
                                 synthesize_constant_velocity_odometry)
 from objectslam.lie import random_rotation
 from objectslam.logio import read_measurement_log, write_measurement_log
@@ -22,22 +25,51 @@ def small_sim(seed=0, loops=1, noise_scale=1.0, num_features=6):
                              noise_scale)
 
 
+def simulated(run):
+    return simulated_steps(run.odometry, run.observations)
+
+
+def run_digest(res):
+    h = hashlib.sha256()
+    for rot, pos in res.trajectory:
+        h.update(rot.tobytes())
+        h.update(pos.tobytes())
+    m = res.final_state.mean
+    for a in (m.robot_rot, m.robot_pos, m.feature_rots, m.feature_pos,
+              res.final_state.cov):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# Output digests of run_filter over these inputs when it took odometry and
+# observation lists (before streams), recorded on x86-64 with numpy 2.4 and
+# OpenBLAS; another BLAS build may round differently.
+LIST_INPUT_DIGESTS = {
+    "riekf": "41fa39a073a6af6a", "robust-riekf": "3090a3ea9e441b75",
+    "stdekf": "89222f558bc10f0d", "robust-stdekf": "842d17f1914b0f03",
+    "ideal": "6ca844d8ed065dc2", "robust-ideal": "57c1d9166737e223",
+}
+
+
 def test_run_filter_deterministic():
     cfg, run = small_sim(seed=1)
-    a = run_filter(FilterSpec("riekf"), run.odometry, run.observations,
-                   run.trace.states)
-    b = run_filter(FilterSpec("riekf"), run.odometry, run.observations,
-                   run.trace.states)
+    a = run_filter(FilterSpec("riekf"), simulated(run), run.trace.states)
+    b = run_filter(FilterSpec("riekf"), simulated(run), run.trace.states)
     for (r1, p1), (r2, p2) in zip(a.trajectory, b.trajectory):
         assert np.array_equal(r1, r2)
         assert np.array_equal(p1, p2)
+    # a simulated run as a stream gives the list-driven results bit for bit
+    for kind in ("riekf", "stdekf", "ideal"):
+        for robust in (False, True):
+            spec = FilterSpec(kind, robust=robust)
+            res = run_filter(spec, simulated(run), run.trace.states)
+            assert run_digest(res) == LIST_INPUT_DIGESTS[spec.name], spec.name
 
 
 def test_zero_noise_runs_track_truth_exactly():
     cfg, run = small_sim(seed=2, loops=2, noise_scale=0.0)
     for kind in ("riekf", "stdekf", "ideal"):
-        res = run_filter(FilterSpec(kind), run.odometry, run.observations,
-                         run.trace.states)
+        res = run_filter(FilterSpec(kind), simulated(run), run.trace.states)
         assert not res.diverged
         err = standard_error_vector(run.trace.states[-1], res.final_state.mean)
         assert np.max(np.abs(err)) < 1e-8
@@ -46,7 +78,7 @@ def test_zero_noise_runs_track_truth_exactly():
 def test_ideal_requires_truth():
     cfg, run = small_sim(seed=3)
     with pytest.raises(ValueError):
-        run_filter(FilterSpec("ideal"), run.odometry, run.observations, None)
+        run_filter(FilterSpec("ideal"), simulated(run), None)
 
 
 def test_divergence_flagged_not_crashed():
@@ -57,7 +89,8 @@ def test_divergence_flagged_not_crashed():
     z = obs[-1][0]
     obs[-1][0] = PoseObservation(z.feature_id, z.rot, z.pos + 1e6,
                                  1e-6 * np.eye(6))
-    res = run_filter(FilterSpec("riekf"), run.odometry, obs, run.trace.states)
+    res = run_filter(FilterSpec("riekf"), simulated_steps(run.odometry, obs),
+                     run.trace.states)
     assert res.diverged
     assert "step" in res.reason
 
@@ -104,7 +137,7 @@ def test_constant_velocity_synthesis_exact_history():
 
 
 def test_constant_velocity_synthesis_is_mean_of_increments():
-    # the running sum replay_log keeps gives the mean over the explicit
+    # the running sum run_filter keeps gives the mean over the explicit
     # trajectory, bit for bit
     rng = np.random.default_rng(11)
     poses = [(random_rotation(rng), rng.normal(size=3)) for _ in range(40)]
@@ -118,7 +151,7 @@ def test_constant_velocity_synthesis_is_mean_of_increments():
 
 
 def test_replay_synthesizes_mean_of_recorded_increments(monkeypatch):
-    # replay_log's running sum must give, at every synthesized step, the mean
+    # run_filter's running sum must give, at every synthesized step, the mean
     # increment of the trajectory recorded before that step
     made = []
 
@@ -130,8 +163,8 @@ def test_replay_synthesizes_mean_of_recorded_increments(monkeypatch):
     monkeypatch.setattr(harness, "synthesize_constant_velocity_odometry", spy)
     steps, _ = corridor_steps(num_steps=30)
     synth_cov = np.diag([0.02] * 3 + [0.05] * 3) ** 2
-    traj = replay_log(FilterSpec("riekf"), steps,
-                      synth_noise_cov=synth_cov)["trajectory"]
+    traj = run_filter(FilterSpec("riekf"), steps,
+                      synth_noise_cov=synth_cov).trajectory
     assert len(made) == 30 and len(traj) == 31
     assert np.array_equal(made[0], np.zeros(3))
     for step in range(2, 31):
@@ -170,25 +203,67 @@ def corridor_steps(num_steps=120, step=0.1):
 def test_replay_with_constant_velocity_odometry_converges():
     steps, truth = corridor_steps()
     synth_cov = np.diag([0.02] * 3 + [0.05] * 3) ** 2
-    result = replay_log(FilterSpec("riekf"), steps, synth_noise_cov=synth_cov)
-    assert not result["diverged"]
+    result = run_filter(FilterSpec("riekf"), steps, synth_noise_cov=synth_cov)
+    assert not result.diverged
     # synthesized odometry approaches the true per-step translation
-    u = synthesize_from(result["trajectory"], synth_cov)
+    u = synthesize_from(result.trajectory, synth_cov)
     assert np.linalg.norm(u.pos - [0.1, 0.0, 0.0]) < 0.02
-    assert result["metrics"]["robot_pos_rmse"] < 0.1
+    assert replay_metrics(steps, result)["robot_pos_rmse"] < 0.1
 
 
 def test_replay_without_odometry_and_without_sigma_fails():
     steps, _ = corridor_steps(num_steps=3)
-    with pytest.raises(ValueError, match="noise covariance"):
-        replay_log(FilterSpec("riekf"), steps)
+    with pytest.raises(MissingOdometryError, match="step 1 .*noise covariance"):
+        run_filter(FilterSpec("riekf"), steps)
 
 
 def test_replay_empty_log():
-    result = replay_log(FilterSpec("riekf"), {})
-    assert result["trajectory"] == []
-    assert result["features"] == {}
-    assert result["metrics"] is None
+    result = run_filter(FilterSpec("riekf"), {})
+    assert result.trajectory == []
+    assert result.final_state.mean.num_features == 0
+    assert not result.diverged
+    assert replay_metrics({}, result) is None
+
+
+def test_gap_step_replays_with_synthesized_odometry(monkeypatch):
+    # a step missing from the stream has no records: its odometry is
+    # synthesized and it still gets a trajectory entry
+    made = []
+
+    def spy(*args):
+        made.append(args[1])
+        return synthesize_constant_velocity_odometry(*args)
+
+    monkeypatch.setattr(harness, "synthesize_constant_velocity_odometry", spy)
+    cfg, run = small_sim(seed=12)
+    steps = simulated(run)
+    gaps = (7, 8, 30)
+    for step in gaps:
+        del steps[step]
+    synth_cov = np.diag([0.02] * 3 + [0.05] * 3) ** 2
+    result = run_filter(FilterSpec("riekf"), steps, run.trace.states,
+                        synth_noise_cov=synth_cov)
+    assert not result.diverged
+    assert len(result.trajectory) == max(steps) + 1 == cfg.num_steps + 1
+    # one synthesis per gap, from every increment estimated before it
+    assert made == [step - 1 for step in gaps]
+    with pytest.raises(MissingOdometryError, match="step 7 "):
+        run_filter(FilterSpec("riekf"), steps, run.trace.states)
+
+
+def test_mid_stream_filter_failure_is_diverged_with_its_step():
+    steps, _ = corridor_steps(num_steps=12)
+    synth_cov = np.diag([0.02] * 3 + [0.05] * 3) ** 2
+    # an observation noise with condition number 1e20 makes S unusable
+    bad = np.diag([1e20] + [1.0] * 5)
+    steps[5].observations = [PoseObservation(z.feature_id, z.rot, z.pos, bad)
+                             for z in steps[5].observations]
+    result = run_filter(FilterSpec("riekf"), steps, synth_noise_cov=synth_cov)
+    assert result.diverged
+    assert result.reason.startswith("step 5: ")
+    assert "condition number" in result.reason
+    assert len(result.trajectory) == 5
+    assert replay_metrics(steps, result)["robot_pos_rmse"] < 0.1
 
 
 def test_replay_reproduces_exported_simulation(tmp_path):
@@ -196,16 +271,15 @@ def test_replay_reproduces_exported_simulation(tmp_path):
     path = tmp_path / "run.jsonl"
     write_measurement_log(path, run.odometry, run.observations, trace=run.trace)
     steps = read_measurement_log(path)
-    direct = run_filter(FilterSpec("riekf"), run.odometry, run.observations,
-                        run.trace.states)
-    replayed = replay_log(FilterSpec("riekf"), steps)
-    assert len(replayed["trajectory"]) == len(direct.trajectory)
-    for (r1, p1), (r2, p2) in zip(direct.trajectory, replayed["trajectory"]):
+    direct = run_filter(FilterSpec("riekf"), simulated(run), run.trace.states)
+    replayed = run_filter(FilterSpec("riekf"), steps)
+    assert len(replayed.trajectory) == len(direct.trajectory)
+    for (r1, p1), (r2, p2) in zip(direct.trajectory, replayed.trajectory):
         assert np.linalg.norm(p1 - p2) < 1e-9
         assert np.linalg.norm(r1 - r2) < 1e-9
     # replaying the same file twice is bit-exact
-    replayed2 = replay_log(FilterSpec("riekf"), read_measurement_log(path))
-    for (r1, p1), (r2, p2) in zip(replayed["trajectory"], replayed2["trajectory"]):
+    replayed2 = run_filter(FilterSpec("riekf"), read_measurement_log(path))
+    for (r1, p1), (r2, p2) in zip(replayed.trajectory, replayed2.trajectory):
         assert np.array_equal(r1, r2)
         assert np.array_equal(p1, p2)
 
@@ -236,19 +310,20 @@ def test_robust_filter_beats_plain_filter_on_outliers(tmp_path):
     steps = read_measurement_log(path)
     corrupted, injected = inject_outliers(steps, 0.05, 10.0,
                                           np.random.default_rng(1))
-    plain = replay_log(FilterSpec("riekf"), corrupted)
-    robust = replay_log(FilterSpec("riekf", robust=True), corrupted)
-    rejected_keys = {(step, fid) for step, fid, accepted, _ in robust["gates"]
+    plain = run_filter(FilterSpec("riekf"), corrupted)
+    robust = run_filter(FilterSpec("riekf", robust=True), corrupted)
+    rejected_keys = {(step, fid) for step, fid, accepted, _ in robust.gates
                      if not accepted}
     caught = sum(1 for key in injected if key in rejected_keys)
     assert caught / len(injected) >= 0.95
-    assert robust["metrics"]["robot_pos_rmse"] < plain["metrics"]["robot_pos_rmse"]
+    assert replay_metrics(corrupted, robust)["robot_pos_rmse"] \
+        < replay_metrics(corrupted, plain)["robot_pos_rmse"]
 
 
 def test_clean_run_rejection_rate_low():
     cfg, run = small_sim(seed=9, loops=2)
-    res = run_filter(FilterSpec("riekf", robust=True), run.odometry,
-                     run.observations, run.trace.states)
+    res = run_filter(FilterSpec("riekf", robust=True), simulated(run),
+                     run.trace.states)
     total = len(res.gates)
     assert total > 100
     assert res.rejected / total <= 0.05

@@ -393,6 +393,71 @@ def test_jacobian_log_header_not_a_valid_object_rejected(tmp_path, header):
         read_jacobian_log(path)
 
 
+def _ideal_log_lines(tmp_path, num_features=2):
+    log, _ = observability_experiment("ideal", num_features, 4, seed=2, noisy=False)
+    path = tmp_path / "jac.txt"
+    write_jacobian_log(path, log)
+    return path, path.read_text().splitlines()
+
+
+def _edit_header(path, lines, **changes):
+    header = json.loads(lines[0])
+    header.update(changes)
+    _edit_line(path, lines, 0, lambda _: json.dumps(header))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"anchor": "x"}, "anchor 'x' is not a JSON object"),
+    ({"anchor": [1, 2, 3]}, "anchor .* is not a JSON object"),
+    ({"anchor": {"feature_pos": [[0, 0, 0]] * 2}}, "anchor robot_pos needs 3"),
+    ({"anchor": {"robot_pos": [0, 0], "feature_pos": [[0, 0, 0]] * 2}},
+     "anchor robot_pos needs 3"),
+    ({"anchor": {"robot_pos": [0, "1", 0], "feature_pos": [[0, 0, 0]] * 2}},
+     "anchor robot_pos entries must be JSON numbers"),
+    ({"anchor": {"robot_pos": [0, float("nan"), 0], "feature_pos": [[0, 0, 0]] * 2}},
+     "anchor robot_pos has non-finite"),
+    ({"anchor": {"robot_pos": [0, 0, 0]}}, "anchor feature_pos needs 2 rows"),
+    ({"anchor": {"robot_pos": [0, 0, 0], "feature_pos": [[0, 0, 0]]}},
+     "anchor feature_pos needs 2 rows"),
+    ({"anchor": {"robot_pos": [0, 0, 0], "feature_pos": "xy"}},
+     "anchor feature_pos needs 2 rows"),
+    ({"anchor": {"robot_pos": [0, 0, 0], "feature_pos": [[0, 0, 0], [0, 0]]}},
+     "anchor feature_pos row needs 3"),
+    ({"anchor": {"robot_pos": [0, 0, 0],
+                 "feature_pos": [[0, 0, 0], [0, float("inf"), 0]]}},
+     "anchor feature_pos row has non-finite"),
+    ({"filter": "ekf"}, "bad jacobian-log header: filter 'ekf'"),
+    ({"filter": 3}, "bad jacobian-log header: filter 3"),
+    ({"mode": "noisy"}, "bad jacobian-log header: mode 'noisy'"),
+    ({"mode": None}, "bad jacobian-log header: mode None"),
+])
+def test_jacobian_log_header_tags_and_anchor_validated(tmp_path, changes, message):
+    path, lines = _ideal_log_lines(tmp_path)
+    _edit_header(path, lines, **changes)
+    with pytest.raises(MalformedRecordError, match=f"^line 1: .*{message}"):
+        read_jacobian_log(path)
+
+
+def test_jacobian_log_anchor_string_fails_at_read_not_in_check(tmp_path):
+    # a bad anchor used to load and then end in a TypeError in the ideal check
+    path, lines = _ideal_log_lines(tmp_path)
+    _edit_header(path, lines, anchor="x")
+    with pytest.raises(MalformedRecordError, match="line 1"):
+        main(["observability", "--jacobian-log", str(path)])
+
+
+def test_jacobian_log_valid_anchor_and_tags_still_load(tmp_path):
+    path, lines = _ideal_log_lines(tmp_path)
+    _edit_header(path, lines, anchor={"robot_pos": [0, 0.5, 1],
+                                      "feature_pos": [[1, 2, 3], [4.0, 5, 6]]})
+    log = read_jacobian_log(path)
+    assert log.filter_name == "ideal" and log.mode == "ideal"
+    assert log.anchor["feature_pos"][1] == [4.0, 5, 6]
+    _edit_header(path, lines, anchor=None, filter="stdekf", mode="estimated")
+    log = read_jacobian_log(path)
+    assert log.anchor is None and log.filter_name == "stdekf"
+
+
 def _reshape_line(line, rows, cols):
     tag, step, _, _, *vals = line.split()
     vals = (vals * 2)[:rows * cols] if rows * cols > 0 else []
