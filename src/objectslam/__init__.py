@@ -18,15 +18,14 @@ from .group import (GroupState, group_compose, group_exp, group_inverse,
                     rot_block, tangent_dim)
 from .harness import (FilterSpec, RunConfig, inject_outliers,
                       jacobian_check_suite, observability_experiment,
-                      observability_report, replay_metrics, run_filter,
-                      run_monte_carlo, simulated_steps,
-                      synthesize_constant_velocity_odometry)
+                      replay_metrics, run_filter, run_monte_carlo,
+                      simulated_steps, synthesize_constant_velocity_odometry)
 from .lie import (left_jacobian, left_jacobian_inv, project_to_so3,
                   random_rotation, skew, so3_exp, so3_log)
 from .metrics import BLOCKS, ErrorSample, error_sample, nees, rmse
 from .observability import (JacobianLog, ObservabilityReport, SubspaceBasis,
-                            build_observability_matrix, null_space,
-                            check_invariant_null_space, check_standard_null_space)
+                            build_observability_matrix, check_null_space,
+                            null_space)
 from .simulator import (GroundTruthTrace, SimConfig, generate_trajectory,
                         generate_world, sample_noisy_odometry,
                         sample_observations, simulate_run, step_odometry)

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingOdometryError
-from .harness import (FilterSpec, RunConfig, format_summary_table,
+from .errors import MalformedRecordError, MissingOdometryError
+from .harness import (FILTER_KINDS, FilterSpec, RunConfig, format_summary_table,
                       jacobian_check_suite, observability_experiment,
-                      observability_report, replay_metrics, run_filter,
-                      run_monte_carlo)
+                      replay_metrics, run_filter, run_monte_carlo)
 from .lie import rot_to_quat
 from .logio import (read_jacobian_log, read_measurement_log,
                     write_jacobian_log, write_measurement_log)
+from .observability import check_null_space
 from .simulator import SimConfig, generate_world, simulate_run
 
 
@@ -26,7 +26,7 @@ def _positive_int(text: str) -> int:
 
 
 def _filter_specs(name: str, robust: bool) -> tuple:
-    kinds = ("riekf", "stdekf", "ideal") if name == "all" else (name,)
+    kinds = FILTER_KINDS if name == "all" else (name,)
     return tuple(FilterSpec(k, robust=robust) for k in kinds)
 
 
@@ -111,11 +111,13 @@ def _cmd_replay(args) -> int:
     print(f"replayed {len(result.trajectory)} steps, "
           f"{mean.num_features} features, "
           f"{result.rejected} rejected observations")
-    return 0 if not result.diverged else 1
+    if result.diverged:
+        print(f"filter diverged: {result.reason}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_observability(args) -> int:
-    initial_state = None
     if args.jacobian_log:
         log = read_jacobian_log(args.jacobian_log)
     else:
@@ -126,11 +128,11 @@ def _cmd_observability(args) -> int:
             kind = "riekf"
         else:
             kind = "stdekf" if noisy else "ideal"
-        log, initial_state = observability_experiment(
+        log, _ = observability_experiment(
             kind, args.num_features, args.steps, args.seed, noisy=noisy)
         if args.save_log:
             write_jacobian_log(args.save_log, log)
-    report = observability_report(log, initial_state=initial_state, tol=args.tol)
+    report = check_null_space(log, tol=args.tol)
     payload = report.to_dict()
     print(json.dumps(payload, indent=2))
     if args.out:
@@ -160,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="Monte-Carlo consistency experiment")
-    p.add_argument("--filter", choices=["riekf", "stdekf", "ideal", "all"],
-                   default="all")
+    p.add_argument("--filter", choices=[*FILTER_KINDS, "all"], default="all")
     p.add_argument("--robust", action="store_true", help="enable 3-sigma gating")
     p.add_argument("--runs", "-m", type=_positive_int, default=None,
                    help="Monte-Carlo runs (default 50)")
@@ -213,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MalformedRecordError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

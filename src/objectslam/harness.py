@@ -23,7 +23,7 @@ from .lie import (batch_left_jacobian, batch_so3_exp, batch_so3_log,
                   random_rotation, so3_exp, so3_log)
 from .logio import ReplayStep, write_jacobian_log
 from .metrics import BLOCKS, collect_samples, nees, rmse, standard_error_vector
-from .observability import JacobianLog, check_invariant_null_space, check_standard_null_space
+from .observability import JacobianLog
 from .simulator import SimConfig, _noise_factor, generate_world, simulate_run
 from .types import FilterState, Odometry, PoseObservation, initial_filter_state
 
@@ -126,9 +126,7 @@ def simulated_steps(odometry: list, observations: list,
 
 def run_filter(spec: FilterSpec, steps: dict,
                truth_states: list | None = None, eval_steps=frozenset(),
-               capture_jacobians: bool = False, expected_features: int | None = None,
-               divergence_error: float = 1e3,
-               max_logged_steps: int | None = None,
+               jacobian_steps: int | None = None, divergence_error: float = 1e3,
                synth_noise_cov: np.ndarray | None = None) -> RunResult:
     """Drive one filter over a {step: ReplayStep} measurement stream.
 
@@ -136,8 +134,9 @@ def run_filter(spec: FilterSpec, steps: dict,
     at step s moves step s-1 to s; a step without one gets constant-velocity
     odometry synthesized from the trajectory so far, which needs
     synth_noise_cov. The ideal variant and any metric sampling need
-    truth_states. Jacobian capture starts on the first step after the state
-    reaches expected_features features.
+    truth_states. With jacobian_steps set, the (F, H) Jacobians of up to that
+    many steps are captured, starting on the first step after the state holds
+    every feature the stream observes.
     """
     conv = spec.convention
     ideal = spec.kind == "ideal"
@@ -145,8 +144,9 @@ def run_filter(spec: FilterSpec, steps: dict,
         raise ValueError("ideal filter needs ground-truth states")
     if eval_steps and truth_states is None:
         raise ValueError("metric sampling needs ground-truth states")
-    if capture_jacobians and expected_features is None:
-        raise ValueError("jacobian capture needs expected_features")
+    if jacobian_steps is not None:
+        observed = len({z.feature_id for rec in steps.values()
+                        for z in rec.observations})
     state = initial_filter_state()
     result = RunResult(spec, state, [])
     jac_active = False
@@ -176,7 +176,7 @@ def run_filter(spec: FilterSpec, steps: dict,
             if jac_active and log_h and len(log_f) < len(log_h):
                 log_f.append(conv.propagation_jacobians(state, u, lin_prev)[0])
             state = conv.propagate(state, u, lin_prev)
-        if jac_active and (max_logged_steps is None or len(log_h) < max_logged_steps):
+        if jac_active and len(log_h) < jacobian_steps:
             if not log_h:
                 log_start = step
             log_h.append(_prediction_jacobian(conv, state, rec.observations,
@@ -189,8 +189,8 @@ def run_filter(spec: FilterSpec, steps: dict,
             result.diverged = True
             result.reason = f"step {step}: {exc}"
             break
-        if capture_jacobians and not jac_active \
-                and state.mean.num_features == expected_features:
+        if jacobian_steps is not None and not jac_active \
+                and state.mean.num_features == observed:
             jac_active = True
         if synth_noise_cov is not None and result.trajectory:
             prev_rot, prev_pos = result.trajectory[-1]
@@ -215,12 +215,11 @@ def run_filter(spec: FilterSpec, steps: dict,
                 result.reason = f"step {step}: {exc}"
                 break
     result.final_state = state
-    if capture_jacobians:
+    if jacobian_steps is not None:
         mode = "ideal" if ideal else "estimated"
-        log = JacobianLog(spec.kind, mode, expected_features,
-                          start_step=log_start)
+        log = JacobianLog(spec.kind, mode, observed, start_step=log_start)
         while log_h and len(log_f) < len(log_h):
-            log_f.append(np.eye(tangent_dim(expected_features)))
+            log_f.append(np.eye(log.state_dim))
         for f, h in zip(log_f, log_h):
             log.append(f, h)
         result.jacobian_log = log
@@ -321,9 +320,7 @@ def _mc_worker(args):
         out[spec.name] = run_filter(
             spec, steps, sim.trace.states,
             eval_steps=eval_steps,
-            capture_jacobians=capture and spec.kind != "ideal",
-            expected_features=cfg.sim.num_features if capture else None,
-            max_logged_steps=200)
+            jacobian_steps=200 if capture and spec.kind != "ideal" else None)
     return run_index, out
 
 
@@ -441,8 +438,7 @@ def observability_experiment(kind: str, num_features: int, steps: int,
     run = simulate_run(cfg, world, rng, 1.0 if noisy else 0.0)
     spec = FilterSpec(kind)
     result = run_filter(spec, simulated_steps(run.odometry, run.observations),
-                        run.trace.states, capture_jacobians=True,
-                        expected_features=num_features, max_logged_steps=steps)
+                        run.trace.states, jacobian_steps=steps)
     log = result.jacobian_log
     if not noisy:
         # estimates coincide with truth on noise-free data
@@ -452,12 +448,6 @@ def observability_experiment(kind: str, num_features: int, steps: int,
                   "feature_pos": [[float(v) for v in p]
                                   for p in anchor_state.feature_pos]}
     return log, anchor_state
-
-
-def observability_report(log: JacobianLog, initial_state=None, tol: float = 1e-8):
-    if log.filter_name == "riekf":
-        return check_invariant_null_space(log, tol=tol)
-    return check_standard_null_space(log, initial_state=initial_state, tol=tol)
 
 
 # --------------------------------------------------------------------------

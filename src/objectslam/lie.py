@@ -23,10 +23,6 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def unskew(m: np.ndarray) -> np.ndarray:
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def _det3(m) -> float:
     return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
             - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
@@ -203,14 +199,7 @@ def batch_left_jacobian(phis: np.ndarray) -> np.ndarray:
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Rotation drawn uniformly from SO(3) (via a random unit quaternion)."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return quat_to_rot(rng.normal(size=4))
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:

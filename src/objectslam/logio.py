@@ -12,8 +12,9 @@ and quaternions whose norm is within QUAT_NORM_TOL of 1 are normalized (others
 are rejected). A line that fails raises MalformedRecordError naming its line
 number. Jacobian logs are checked the same way: a JSON-object header with
 known filter and mode tags and, when present, an anchor of finite positions
-(robot_pos, and one feature_pos row per feature), finite entries, and F and H
-shapes that match the header's state dimension.
+(robot_pos, and one feature_pos row per feature), which an ideal-mode
+standard-filter log must carry; finite entries, and F and H shapes that match
+the header's state dimension.
 """
 
 import json
@@ -225,6 +226,10 @@ def read_jacobian_log(path) -> JacobianLog:
         anchor = header.get("anchor")
         if anchor is not None and not isinstance(anchor, dict):
             raise ValueError(f"anchor {anchor!r} is not a JSON object")
+        if anchor is None and header["filter"] != "riekf" \
+                and header["mode"] == "ideal":
+            raise ValueError("an ideal-mode standard-filter log needs an anchor "
+                             "(its gauge basis sits at the true positions)")
         log = JacobianLog(header["filter"], header["mode"], counts["num_features"],
                           start_step=counts["start_step"], anchor=anchor)
         steps = counts["steps"]

@@ -2,8 +2,9 @@
 
 The stacked matrix has rows H_k @ F_{k-1} @ ... @ F_0 (empty product for the
 first block). Null spaces are extracted by one thin SVD with a relative
-singular-value threshold; the check functions compare the computed null space
-against the analytic gauge bases (global rotation + translation).
+singular-value threshold; check_null_space compares the computed null space
+against the analytic gauge basis the log's filter and mode call for (global
+rotation + translation).
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .group import GroupState, pos_block, rot_block, tangent_dim
+from .group import pos_block, rot_block, tangent_dim
 from .lie import skew
 
 DEFAULT_RANK_TOL = 1e-8
@@ -172,45 +173,37 @@ class ObservabilityReport:
         }
 
 
-def _make_report(log: JacobianLog, analytic: np.ndarray, expected_dim: int,
-                 tol: float) -> ObservabilityReport:
+def gauge_basis(log: JacobianLog) -> np.ndarray:
+    """The unobservable directions the log's filter should keep: 6 for the
+    invariant filter whatever its linearization, 6 for the standard filter
+    linearized at truth (anchored at the log's true positions), 3 (global
+    translation) for the standard filter linearized at its estimates."""
+    if log.filter_name == "riekf":
+        return invariant_gauge_basis(log.num_features)
+    if log.mode == "estimated":
+        return std_estimated_gauge_basis(log.num_features)
+    if log.anchor is None:
+        raise ValueError("ideal-mode check needs the true anchor positions")
+    return std_ideal_gauge_basis(np.asarray(log.anchor["robot_pos"], dtype=float),
+                                 np.asarray(log.anchor["feature_pos"], dtype=float))
+
+
+def check_null_space(log: JacobianLog,
+                     tol: float = DEFAULT_RANK_TOL) -> ObservabilityReport:
+    """Compare the observability matrix's null space with the log's gauge
+    basis; the check passes when their dimensions agree and the matrix
+    annihilates the basis."""
+    analytic = gauge_basis(log)
+    expected_dim = analytic.shape[1]
     obs = build_observability_matrix(log)
     ns = null_space(obs, tol=tol)
     sv = ns.singular_values
     residual = float(np.linalg.norm(obs @ analytic))
     contain = subspace_contained(analytic, ns.basis) if ns.dimension else np.inf
     passed = (ns.dimension == expected_dim
-              and residual <= max(tol * sv[0], 1e-12) * max(1.0, analytic.shape[1]))
+              and residual <= max(tol * sv[0], 1e-12) * max(1.0, expected_dim))
     n_obs_steps = sum(1 for h in log.H if h is not None and h.size)
     return ObservabilityReport(
         log.filter_name, log.mode, log.num_features, n_obs_steps,
         log.state_dim, ns.dimension, expected_dim, float(sv[0]), sv,
         residual, float(contain), bool(passed))
-
-
-def check_invariant_null_space(log: JacobianLog,
-                               tol: float = DEFAULT_RANK_TOL) -> ObservabilityReport:
-    """Invariant filter: 6 unobservable directions regardless of linearization."""
-    return _make_report(log, invariant_gauge_basis(log.num_features), 6, tol)
-
-
-def check_standard_null_space(log: JacobianLog,
-                              initial_state: GroupState | None = None,
-                              tol: float = DEFAULT_RANK_TOL) -> ObservabilityReport:
-    """Standard filter: 6 directions when linearized at truth, 3 in practice.
-
-    The ideal basis is anchored at the true positions where logging started,
-    taken from initial_state or from the log's stored anchor.
-    """
-    if log.mode == "ideal":
-        if initial_state is not None:
-            robot_pos = initial_state.robot_pos
-            feature_pos = initial_state.feature_pos
-        elif log.anchor is not None:
-            robot_pos = np.asarray(log.anchor["robot_pos"], dtype=float)
-            feature_pos = np.asarray(log.anchor["feature_pos"], dtype=float)
-        else:
-            raise ValueError("ideal-mode check needs the true anchor positions")
-        return _make_report(log, std_ideal_gauge_basis(robot_pos, feature_pos),
-                            6, tol)
-    return _make_report(log, std_estimated_gauge_basis(log.num_features), 3, tol)

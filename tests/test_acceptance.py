@@ -20,7 +20,7 @@ from objectslam.lie import random_rotation, so3_log
 from objectslam.metrics import BLOCKS, standard_error_vector
 from objectslam.observability import (build_observability_matrix,
                                       invariant_gauge_basis, null_space,
-                                      std_ideal_gauge_basis, check_standard_null_space)
+                                      check_null_space, std_ideal_gauge_basis)
 from objectslam.simulator import SimConfig, generate_world, simulate_run
 from objectslam.types import PoseObservation
 
@@ -115,7 +115,7 @@ def test_criterion_4_standard_null_space():
     obs = build_observability_matrix(log)
     dim_ideal = null_space(obs).dimension
     basis = std_ideal_gauge_basis(anchor.robot_pos, anchor.feature_pos)
-    contain = check_standard_null_space(log, initial_state=anchor).containment_residual
+    contain = check_null_space(log).containment_residual
     log_n, _ = observability_experiment("stdekf", 1, 20, seed=SEED, noisy=True)
     dim_est = null_space(build_observability_matrix(log_n)).dimension
     ok = dim_ideal == 6 and contain < 1e-8 and dim_est == 3

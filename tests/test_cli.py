@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from objectslam.cli import main
 from objectslam.logio import read_measurement_log, write_measurement_log
 from objectslam.simulator import SimConfig, generate_world, simulate_run
+from objectslam.types import PoseObservation
 
 
 def test_check_jacobians_command(capsys):
@@ -168,3 +170,80 @@ def test_zero_noise_export_is_noise_free(tmp_path):
             assert np.max(np.abs(rec.odometry.rot - r_0.T @ r_r)) < 1e-12
             assert np.max(np.abs(rec.odometry.pos - r_0.T @ (p_r - p_0))) < 1e-12
     assert observed > 100
+
+
+def test_replay_divergence_names_its_cause(tmp_path, capsys):
+    cfg = SimConfig(loops=1, seed=3)
+    world = generate_world(cfg, np.random.default_rng(3))
+    run = simulate_run(cfg, world, np.random.default_rng(3))
+    obs = [list(o) for o in run.observations]
+    assert obs[40] and all(any(z.feature_id == y.feature_id for o in obs[:40]
+                                   for y in o) for z in obs[40])
+    # condition 1e20: the innovation covariance cannot be inverted
+    cov = np.diag([1e18] * 3 + [1e-2] * 3)
+    obs[40] = [PoseObservation(z.feature_id, z.rot, z.pos, cov) for z in obs[40]]
+    log_path = tmp_path / "bad.jsonl"
+    write_measurement_log(log_path, run.odometry, obs)
+    rc = main(["replay", "--log", str(log_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "replayed 40 steps" in captured.out
+    assert "step 40" in captured.err
+    assert "condition number" in captured.err
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--jacobian-log", "[1]", "header is not a JSON object"),
+    ("--log", "[1]", "record is not a JSON object"),
+    ("--log", '{"step": 0, "kind": "obs", "feature_id": 0, '
+              '"position": [0, 0, 0], "cov": [0.01, 0, 0, 0, 0, 0, 0.01, 0, 0, 0, '
+              '0, 0.01, 0, 0, 0, 0.01, 0, 0, 0.01, 0, 0.01]}', "missing 'rotation'"),
+], ids=["jacobian-log-list-header", "measurement-log-list", "obs-without-rotation"])
+def test_malformed_log_is_one_line_exit_2(tmp_path, capsys, flag, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content + "\n")
+    command = "replay" if flag == "--log" else "observability"
+    assert main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_anchorless_ideal_jacobian_log_is_rejected_at_read(tmp_path, capsys):
+    path = tmp_path / "jac.txt"
+    assert main(["observability", "--filter", "stdekf", "--mode", "ideal",
+                 "--num-features", "1", "--steps", "10", "--seed", "3",
+                 "--save-log", str(path)]) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    del header["anchor"]
+    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert main(["observability", "--jacobian-log", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and "anchor" in err
+    assert err.count("\n") == 1
+
+
+# sha256 (first 16 hex digits) of the report JSON and the saved Jacobian log of
+# `observability --filter F --mode M --num-features 2 --steps 20 --seed 0`,
+# recorded when the check took the true anchor state from the experiment
+# rather than from the log, on x86-64 with numpy 2.4 and OpenBLAS; another
+# BLAS build may round differently.
+OBSERVABILITY_DIGESTS = {
+    ("riekf", "estimated"): ("57240ccdbd6cbcc5", "414562299f011f6c"),
+    ("riekf", "ideal"): ("8f9139ded4660106", "489ab5dee8a5dfd6"),
+    ("stdekf", "estimated"): ("77f61308c0217901", "c60d14cb1433674d"),
+    ("stdekf", "ideal"): ("f7f4013085a7cc74", "03069a1b92758e76"),
+}
+
+
+@pytest.mark.parametrize("filt, mode", sorted(OBSERVABILITY_DIGESTS))
+def test_observability_outputs_digests(tmp_path, filt, mode):
+    report, log = tmp_path / "report.json", tmp_path / "jac.txt"
+    assert main(["observability", "--filter", filt, "--mode", mode,
+                 "--num-features", "2", "--steps", "20", "--seed", "0",
+                 "--save-log", str(log), "--out", str(report)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                    for p in (report, log))
+    assert digests == OBSERVABILITY_DIGESTS[filt, mode]

@@ -13,6 +13,7 @@ from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
 from objectslam.lie import random_rotation
 from objectslam.logio import read_measurement_log, write_measurement_log
 from objectslam.metrics import standard_error_vector
+from objectslam.observability import check_null_space
 from objectslam.simulator import (SimConfig, generate_world,
                                   sample_observations, simulate_run)
 from objectslam.types import PoseObservation
@@ -381,3 +382,26 @@ def test_zero_noise_monte_carlo_errors_vanish():
     final = summary["filters"]["riekf"]["final"]
     assert final["robot-pose"]["rmse"] < 1e-8
     assert final["feature-pose"]["rmse"] < 1e-8
+
+
+def test_jacobian_capture_waits_for_the_observed_features_only():
+    # one world feature is never observed; capture must not wait for it
+    cfg = SimConfig(num_features=3, loops=1, seed=5, placement="central")
+    world = generate_world(cfg, np.random.default_rng(5))
+    run = simulate_run(cfg, world, np.random.default_rng(5))
+    hidden = world.feature_ids[1]
+    obs = [[z for z in o if z.feature_id != hidden] for o in run.observations]
+    seen, full_at = set(), None
+    for step, o in enumerate(obs):
+        seen |= {z.feature_id for z in o}
+        if full_at is None and len(seen) == cfg.num_features - 1:
+            full_at = step
+    assert full_at is not None and full_at + 20 < len(obs)
+    for kind in ("riekf", "stdekf"):
+        res = run_filter(FilterSpec(kind), simulated_steps(run.odometry, obs),
+                         run.trace.states, jacobian_steps=20)
+        log = res.jacobian_log
+        assert log.num_features == cfg.num_features - 1
+        assert log.start_step == full_at + 1
+        assert len(log.F) == len(log.H) == 20
+        assert check_null_space(log).passed

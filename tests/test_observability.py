@@ -12,8 +12,7 @@ from objectslam.observability import (DEFAULT_RANK_TOL, JacobianLog,
                                       invariant_gauge_basis, null_space,
                                       std_estimated_gauge_basis,
                                       std_ideal_gauge_basis,
-                                      subspace_contained, check_invariant_null_space,
-                                      check_standard_null_space)
+                                      subspace_contained, check_null_space)
 
 
 def test_single_step_returns_h():
@@ -86,7 +85,7 @@ def test_subspace_containment_measure():
 def test_invariant_noisy_runs_have_six_dim_null_space():
     for k in (1, 3):
         log, _ = observability_experiment("riekf", k, 15, seed=2, noisy=True)
-        report = check_invariant_null_space(log)
+        report = check_null_space(log)
         assert report.null_dim == 6
         assert report.basis_residual < 1e-8 * report.sigma_max
         assert report.passed
@@ -94,7 +93,7 @@ def test_invariant_noisy_runs_have_six_dim_null_space():
 
 def test_invariant_ideal_run():
     log, _ = observability_experiment("riekf", 1, 10, seed=3, noisy=False)
-    report = check_invariant_null_space(log)
+    report = check_null_space(log)
     assert report.null_dim == 6
     assert report.passed
 
@@ -102,7 +101,7 @@ def test_invariant_ideal_run():
 def test_invariant_single_step_contains_basis():
     log, _ = observability_experiment("riekf", 1, 1, seed=4, noisy=True)
     assert len(log.H) == 1
-    report = check_invariant_null_space(log)
+    report = check_null_space(log)
     assert report.null_dim >= 6
     assert report.basis_residual < 1e-10
 
@@ -126,8 +125,8 @@ def test_null_dimension_monotone_in_steps():
 
 
 def test_standard_ideal_noise_free_circle():
-    log, anchor = observability_experiment("ideal", 1, 20, seed=7, noisy=False)
-    report = check_standard_null_space(log, initial_state=anchor)
+    log, _ = observability_experiment("ideal", 1, 20, seed=7, noisy=False)
+    report = check_null_space(log)
     assert report.null_dim == 6
     assert report.basis_residual < 1e-8 * report.sigma_max
     assert report.containment_residual < 1e-8
@@ -136,7 +135,7 @@ def test_standard_ideal_noise_free_circle():
 
 def test_standard_estimated_noisy_run():
     log, _ = observability_experiment("stdekf", 1, 20, seed=8, noisy=True)
-    report = check_standard_null_space(log)
+    report = check_null_space(log)
     assert report.null_dim == 3
     assert report.basis_residual < 1e-8 * report.sigma_max
     assert report.passed
@@ -199,7 +198,7 @@ def test_thin_null_space_matches_full_svd(rows, cols, rank):
 
 def test_report_singular_values_come_from_the_null_space_svd():
     log, _ = observability_experiment("riekf", 2, 12, seed=11, noisy=True)
-    report = check_invariant_null_space(log)
+    report = check_null_space(log)
     ref = np.linalg.svd(build_observability_matrix(log), compute_uv=False)
     assert report.singular_values.shape == ref.shape
     assert np.max(np.abs(report.singular_values - ref)) <= 1e-12 * ref[0]
@@ -218,9 +217,24 @@ def test_null_space_check_never_forms_the_full_u():
     assert rows >= 2000
     tracemalloc.start()
     try:
-        report = check_invariant_null_space(log)
+        report = check_null_space(log)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.passed and report.null_dim == 6
     assert peak < rows * rows * 8 / 10
+
+
+@pytest.mark.parametrize("kind, noisy, mode, expected_dim", [
+    ("riekf", True, "estimated", 6),
+    ("stdekf", True, "estimated", 3),
+    ("ideal", False, "ideal", 6),
+])
+def test_check_null_space_reads_the_gauge_from_the_log(kind, noisy, mode,
+                                                       expected_dim):
+    log, _ = observability_experiment(kind, 2, 15, seed=13, noisy=noisy)
+    assert log.mode == mode
+    report = check_null_space(log)
+    assert report.expected_dim == expected_dim
+    assert report.null_dim == expected_dim
+    assert report.passed
