@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -9,12 +10,13 @@ import numpy as np
 
 from .errors import MalformedRecordError, MissingOdometryError
 from .harness import (FILTER_KINDS, FilterSpec, RunConfig, format_summary_table,
-                      jacobian_check_suite, observability_experiment,
-                      replay_metrics, run_filter, run_monte_carlo)
+                      observability_experiment, replay_metrics, run_filter,
+                      run_monte_carlo)
 from .lie import rot_to_quat
 from .logio import (read_jacobian_log, read_measurement_log,
                     write_jacobian_log, write_measurement_log)
 from .observability import check_null_space
+from .oracles import jacobian_check_suite
 from .simulator import SimConfig, generate_world, simulate_run
 
 
@@ -25,15 +27,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
+    return value
+
+
 def _filter_specs(name: str, robust: bool) -> tuple:
     kinds = FILTER_KINDS if name == "all" else (name,)
     return tuple(FilterSpec(k, robust=robust) for k in kinds)
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma", type=float, nargs=6, metavar="S",
+    p.add_argument("--sigma", type=_positive_float, nargs=6, metavar="S",
                    help="odometry noise stddevs (3 rotation rad, 3 position m)")
-    p.add_argument("--omega", type=float, nargs=6, metavar="S",
+    p.add_argument("--omega", type=_positive_float, nargs=6, metavar="S",
                    help="observation noise stddevs (3 rotation rad, 3 position m)")
 
 
@@ -50,7 +59,6 @@ def _cmd_simulate(args) -> int:
         sim=_sim_config(args),
         filters=_filter_specs(args.filter, args.robust),
         runs=args.runs,
-        seed=args.seed,
         out_dir=Path(args.out) if args.out else None,
         eval_stride=args.eval_stride,
         noise_scale=0.0 if args.zero_noise else 1.0,
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte-Carlo consistency experiment")
     p.add_argument("--filter", choices=[*FILTER_KINDS, "all"], default="all")
     p.add_argument("--robust", action="store_true", help="enable 3-sigma gating")
-    p.add_argument("--runs", "-m", type=_positive_int, default=None,
+    p.add_argument("--runs", "-m", type=_positive_int, default=50,
                    help="Monte-Carlo runs (default 50)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loops", type=_positive_int, default=25)
@@ -186,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--robust", action="store_true")
     p.add_argument("--synth-odom", action="store_true",
                    help="constant-velocity odometry for steps without records")
-    p.add_argument("--odom-sigma", type=float, nargs=6, metavar="S",
+    p.add_argument("--odom-sigma", type=_positive_float, nargs=6, metavar="S",
                    help="noise stddevs for synthesized odometry (required with "
                         "--synth-odom; the assumption fixes no magnitude)")
     p.add_argument("--out", metavar="DIR")

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import (DuplicateFeatureError, IllConditionedInnovationError,
                      UnknownFeatureError)
 from .group import (GroupState, group_compose, group_exp, pos_block, rot_block,
-                    tangent_dim)
-from .lie import batch_so3_exp, project_to_so3, skew, so3_exp, so3_log
+                    split_tangent, tangent_dim)
+from .lie import batch_so3_exp, project_to_so3, skew, so3_log
 from .metrics import invariant_error_vector, standard_error_vector
 from .types import FilterState, Innovation, Odometry, PoseObservation, symmetrize
 
@@ -45,18 +45,15 @@ def propagate_mean(mean: GroupState, u: Odometry) -> GroupState:
 
 
 def apply_std_error(mean: GroupState, eta: np.ndarray) -> GroupState:
-    """Perturb a state by a per-block error vector (left rotation, additive position)."""
-    k = mean.num_features
-    if k:
-        frots = batch_so3_exp(eta[3:3 * (k + 1)].reshape(k, 3)) @ mean.feature_rots
-        fpos = mean.feature_pos + eta[3 * (k + 1) + 3:].reshape(k, 3)
-    else:
-        frots, fpos = mean.feature_rots, mean.feature_pos
+    """Perturb a state by (..., d) per-block error vectors (left rotation,
+    additive position)."""
+    rot_vecs, pos_vecs = split_tangent(eta, mean.num_features)
+    exps = batch_so3_exp(rot_vecs)
     return GroupState(
-        so3_exp(eta[rot_block(0)]) @ mean.robot_rot,
-        mean.robot_pos + eta[pos_block(0, k)],
-        frots,
-        fpos,
+        exps[..., 0, :, :] @ mean.robot_rot,
+        mean.robot_pos + pos_vecs[..., 0, :],
+        exps[..., 1:, :, :] @ mean.feature_rots,
+        mean.feature_pos + pos_vecs[..., 1:, :],
         mean.feature_ids,
     )
 
@@ -105,7 +102,9 @@ class Convention:
     noise_jacobian(mean, lin, u) is G. lever_arm(rot, p) and
     observation_block(lin, feature_id), when set, are the robot-rotation
     column blocks of F and A, and of H. retract(mean, delta) applies a
-    correction; error(true, mean) inverts it and is the error NEES uses.
+    correction; error(true, mean) inverts it and is the error NEES uses. Both
+    take leading axes: (n, d) corrections give n states, n true states give
+    (n, d) errors.
     """
 
     name: str

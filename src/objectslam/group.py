@@ -11,6 +11,10 @@ Tangent vectors are ordered rotations-then-positions:
 
 and every position block of the exponential map is premultiplied by the left
 Jacobian of the ROBOT rotation vector.
+
+Every map here also takes states and tangent vectors with leading axes (a
+batch of n states has robot_rot of shape (n, 3, 3), feature_rots (n, K, 3, 3)
+and tangents (n, d)); operands broadcast against each other.
 """
 
 from dataclasses import dataclass, field
@@ -18,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, LogDomainError
-from .lie import (batch_so3_exp, left_jacobian, left_jacobian_inv, so3_exp,
-                  so3_log)
+from .lie import batch_left_jacobian_inv, batch_so3_exp, batch_so3_log
 
 
 def tangent_dim(num_features: int) -> int:
@@ -42,7 +45,8 @@ class GroupState:
     """Robot pose and K feature poses, all in the global frame.
 
     feature_rots has shape (K, 3, 3), feature_pos shape (K, 3); feature_ids
-    is a tuple of opaque hashable ids aligned with those arrays.
+    is a tuple of opaque hashable ids aligned with those arrays. A batch of
+    states puts its leading axes in front of every array's shape.
     """
 
     robot_rot: np.ndarray
@@ -57,6 +61,37 @@ class GroupState:
 
     def index_of(self, feature_id) -> int:
         return self.feature_ids.index(feature_id)
+
+    @property
+    def rotations(self) -> np.ndarray:
+        """All K+1 rotations, robot first: (..., K+1, 3, 3)."""
+        return np.concatenate([self.robot_rot[..., None, :, :], self.feature_rots],
+                              axis=-3)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """All K+1 positions, robot first: (..., K+1, 3)."""
+        return np.concatenate([self.robot_pos[..., None, :], self.feature_pos],
+                              axis=-2)
+
+
+def split_tangent(xi: np.ndarray, num_features: int) -> tuple:
+    """(rotation vectors, position vectors) of (..., d) tangents, each
+    (..., K+1, 3) with the robot first."""
+    block = xi.shape[:-1] + (num_features + 1, 3)
+    n = 3 * (num_features + 1)
+    return xi[..., :n].reshape(block), xi[..., n:].reshape(block)
+
+
+def join_tangent(rot_vecs: np.ndarray, pos_vecs: np.ndarray) -> np.ndarray:
+    """Inverse of split_tangent."""
+    flat = rot_vecs.shape[:-2] + (-1,)
+    return np.concatenate([rot_vecs.reshape(flat), pos_vecs.reshape(flat)], axis=-1)
+
+
+def _rotate(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """r @ p over leading axes (a 3x1 column rounds exactly as the vector)."""
+    return (r @ p[..., None])[..., 0]
 
 
 def identity_state(feature_ids: tuple = ()) -> GroupState:
@@ -77,20 +112,20 @@ def group_compose(a: GroupState, b: GroupState) -> GroupState:
     _check_compatible(a, b)
     return GroupState(
         a.robot_rot @ b.robot_rot,
-        a.robot_rot @ b.robot_pos + a.robot_pos,
+        _rotate(a.robot_rot, b.robot_pos) + a.robot_pos,
         a.feature_rots @ b.feature_rots,
-        b.feature_pos @ a.robot_rot.T + a.feature_pos,
+        b.feature_pos @ a.robot_rot.swapaxes(-1, -2) + a.feature_pos,
         a.feature_ids,
     )
 
 
 def group_inverse(a: GroupState) -> GroupState:
-    rt = a.robot_rot.T
+    rt = a.robot_rot.swapaxes(-1, -2)
     return GroupState(
         rt,
-        -(rt @ a.robot_pos),
-        np.swapaxes(a.feature_rots, 1, 2),
-        -(a.feature_pos @ rt.T),
+        -_rotate(rt, a.robot_pos),
+        a.feature_rots.swapaxes(-1, -2),
+        -(a.feature_pos @ a.robot_rot),
         a.feature_ids,
     )
 
@@ -101,43 +136,25 @@ def group_minus(a: GroupState, b: GroupState) -> GroupState:
 
 
 def group_exp(xi: np.ndarray, feature_ids: tuple = ()) -> GroupState:
-    """Exponential map of the rotations-then-positions tangent vector."""
+    """Exponential map of (..., d) rotations-then-positions tangent vectors."""
     xi = np.asarray(xi, dtype=float)
     k = len(feature_ids)
-    if xi.shape != (tangent_dim(k),):
+    if xi.shape[-1:] != (tangent_dim(k),):
         raise DimensionMismatchError(
-            f"tangent vector has dim {xi.shape}, expected ({tangent_dim(k)},)")
-    phi_r = xi[rot_block(0)]
-    jl = left_jacobian(phi_r)
-    if k:
-        frots = batch_so3_exp(xi[3:3 * (k + 1)].reshape(k, 3))
-        fpos = xi[3 * (k + 1) + 3:].reshape(k, 3) @ jl.T
-    else:
-        frots = np.zeros((0, 3, 3))
-        fpos = np.zeros((0, 3))
-    return GroupState(so3_exp(phi_r), jl @ xi[pos_block(0, k)],
-                      frots, fpos, tuple(feature_ids))
+            f"tangent vector has dim {xi.shape}, expected (..., {tangent_dim(k)})")
+    rot_vecs, pos_vecs = split_tangent(xi, k)
+    rots, jls = batch_so3_exp(rot_vecs, left_jacobian=True)
+    jl = jls[..., 0, :, :]
+    return GroupState(rots[..., 0, :, :], _rotate(jl, pos_vecs[..., 0, :]),
+                      rots[..., 1:, :, :], pos_vecs[..., 1:, :] @ jl.swapaxes(-1, -2),
+                      tuple(feature_ids))
 
 
 def group_log(a: GroupState) -> np.ndarray:
     """Inverse of group_exp; requires all rotation angles below pi."""
-    k = a.num_features
-    xi = np.zeros(tangent_dim(k))
-    phi_r = so3_log(a.robot_rot, validate=False)
-    _check_log_domain(phi_r)
-    xi[rot_block(0)] = phi_r
-    jl_inv = left_jacobian_inv(phi_r)
-    xi[pos_block(0, k)] = jl_inv @ a.robot_pos
-    for j in range(k):
-        phi_f = so3_log(a.feature_rots[j], validate=False)
-        _check_log_domain(phi_f)
-        xi[rot_block(j + 1)] = phi_f
-    if k:
-        xi[3 * (k + 1) + 3:] = (a.feature_pos @ jl_inv.T).ravel()
-    return xi
-
-
-def _check_log_domain(phi: np.ndarray) -> None:
-    if np.linalg.norm(phi) >= np.pi - 1e-6:
-        raise LogDomainError(
-            f"rotation angle {np.linalg.norm(phi):.6f} at the log-domain boundary")
+    phis = batch_so3_log(a.rotations)
+    angle = float(np.sqrt((phis * phis).sum(axis=-1)).max(initial=0.0))
+    if angle >= np.pi - 1e-6:
+        raise LogDomainError(f"rotation angle {angle:.6f} at the log-domain boundary")
+    jl_inv = batch_left_jacobian_inv(phis[..., 0, :])
+    return join_tangent(phis, a.positions @ jl_inv.swapaxes(-1, -2))

@@ -1,4 +1,4 @@
-"""Experiment drivers: filter runs, Monte-Carlo batches, replay, oracle checks.
+"""Experiment drivers: filter runs, Monte-Carlo batches, replay, observability.
 
 Everything here is deterministic for a fixed seed: worlds come from the seed,
 run i draws from a generator seeded with seed + i, and aggregation reduces
@@ -14,13 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .ekf import INVARIANT, STANDARD, Convention, propagate_mean
+from .ekf import INVARIANT, STANDARD, Convention
 from .errors import (IllConditionedInnovationError, LogDomainError,
                      MissingOdometryError)
 from .gating import gate
-from .group import GroupState, pos_block, rot_block, tangent_dim
-from .lie import (batch_left_jacobian, batch_so3_exp, batch_so3_log,
-                  random_rotation, so3_exp, so3_log)
+from .group import GroupState
+from .lie import so3_exp, so3_log
 from .logio import ReplayStep, write_jacobian_log
 from .metrics import BLOCKS, collect_samples, nees, rmse, standard_error_vector
 from .observability import JacobianLog
@@ -28,6 +27,8 @@ from .simulator import SimConfig, _noise_factor, generate_world, simulate_run
 from .types import FilterState, Odometry, PoseObservation, initial_filter_state
 
 FILTER_KINDS = ("riekf", "stdekf", "ideal")
+# a run whose standard error norm exceeds this at an evaluated step diverged
+DIVERGENCE_ERROR = 1e3
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,7 @@ def _prediction_jacobian(conv: Convention, state: FilterState,
     return np.vstack(rows) if rows else None
 
 
-def _check_divergence(state: FilterState, truth: GroupState | None,
-                      limit: float) -> str:
+def _check_divergence(state: FilterState, truth: GroupState | None) -> str:
     if not np.all(np.isfinite(state.cov)):
         return "non-finite covariance"
     if np.linalg.eigvalsh(state.cov)[0] < -1e-6:
@@ -101,8 +101,9 @@ def _check_divergence(state: FilterState, truth: GroupState | None,
         err = standard_error_vector(truth, state.mean)
         if not np.all(np.isfinite(err)):
             return "non-finite estimation error"
-        if np.linalg.norm(err) > limit:
-            return f"error norm {np.linalg.norm(err):.3e} above {limit:g}"
+        if np.linalg.norm(err) > DIVERGENCE_ERROR:
+            return (f"error norm {np.linalg.norm(err):.3e} above "
+                    f"{DIVERGENCE_ERROR:g}")
     return ""
 
 
@@ -126,7 +127,7 @@ def simulated_steps(odometry: list, observations: list,
 
 def run_filter(spec: FilterSpec, steps: dict,
                truth_states: list | None = None, eval_steps=frozenset(),
-               jacobian_steps: int | None = None, divergence_error: float = 1e3,
+               jacobian_steps: int | None = None,
                synth_noise_cov: np.ndarray | None = None) -> RunResult:
     """Drive one filter over a {step: ReplayStep} measurement stream.
 
@@ -200,7 +201,7 @@ def run_filter(spec: FilterSpec, steps: dict,
         result.trajectory.append((state.mean.robot_rot, state.mean.robot_pos))
         if step in eval_steps or step == num_steps:
             reason = _check_divergence(state, truth_states[step]
-                                       if truth_states else None, divergence_error)
+                                       if truth_states else None)
             if reason:
                 result.diverged = True
                 result.reason = f"step {step}: {reason}"
@@ -298,8 +299,7 @@ def inject_outliers(steps: dict, fraction: float, scale: float,
 class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     filters: tuple = (FilterSpec("riekf"), FilterSpec("stdekf"), FilterSpec("ideal"))
-    runs: int | None = None
-    seed: int | None = None
+    runs: int = 50
     out_dir: Path | None = None
     eval_stride: int = 50
     noise_scale: float = 1.0
@@ -309,8 +309,7 @@ class RunConfig:
 
 def _mc_worker(args):
     cfg, world, run_index, capture = args
-    rng = np.random.default_rng((cfg.seed
-                                 if cfg.seed is not None else cfg.sim.seed) + run_index)
+    rng = np.random.default_rng(cfg.sim.seed + run_index)
     sim = simulate_run(cfg.sim, world, rng, cfg.noise_scale)
     steps = simulated_steps(sim.odometry, sim.observations)
     n = cfg.sim.num_steps
@@ -330,11 +329,9 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
     Diverged runs are excluded from the averages but counted in the summary.
     Returns the summary dict; writes CSV/JSON/text outputs when out_dir is set.
     """
-    seed = cfg.seed if cfg.seed is not None else cfg.sim.seed
-    runs = cfg.runs if cfg.runs is not None else cfg.sim.monte_carlo_runs
-    world = generate_world(cfg.sim, np.random.default_rng(seed))
-    work = [(replace(cfg, seed=seed), world, i, cfg.emit_jacobian_log and i == 0)
-            for i in range(runs)]
+    world = generate_world(cfg.sim, np.random.default_rng(cfg.sim.seed))
+    work = [(cfg, world, i, cfg.emit_jacobian_log and i == 0)
+            for i in range(cfg.runs)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = sorted(pool.map(_mc_worker, work), key=lambda t: t[0])
@@ -343,7 +340,7 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
 
     n = cfg.sim.num_steps
     eval_steps = sorted(set(range(cfg.eval_stride, n + 1, cfg.eval_stride)) | {n})
-    summary = {"seed": seed, "runs": runs, "num_steps": n, "filters": {}}
+    summary = {"seed": cfg.sim.seed, "runs": cfg.runs, "num_steps": n, "filters": {}}
     per_filter_rows = {}
     jac_logs = {}
     for spec in cfg.filters:
@@ -448,199 +445,3 @@ def observability_experiment(kind: str, num_features: int, steps: int,
                   "feature_pos": [[float(v) for v in p]
                                   for p in anchor_state.feature_pos]}
     return log, anchor_state
-
-
-# --------------------------------------------------------------------------
-# Jacobian oracle suite (finite differences + sampling)
-# --------------------------------------------------------------------------
-
-def _numeric_jacobian(fn, dim: int, eps: float = 1e-6) -> np.ndarray:
-    cols = []
-    for i in range(dim):
-        d = np.zeros(dim)
-        d[i] = eps
-        cols.append((fn(d) - fn(-d)) / (2.0 * eps))
-    return np.column_stack(cols)
-
-
-def _random_state(rng: np.random.Generator, k: int) -> FilterState:
-    ids = tuple(f"obj{j}" for j in range(k))
-    mean = GroupState(random_rotation(rng), rng.normal(size=3),
-                      np.stack([random_rotation(rng) for _ in range(k)])
-                      if k else np.zeros((0, 3, 3)),
-                      rng.normal(size=(k, 3)), ids)
-    a = rng.normal(size=(tangent_dim(k), tangent_dim(k)))
-    cov = 0.01 * (a @ a.T) + 0.001 * np.eye(tangent_dim(k))
-    return FilterState(mean, cov)
-
-
-def _exact_observation(mean: GroupState, j: int, cov: np.ndarray) -> PoseObservation:
-    rt = mean.robot_rot.T
-    return PoseObservation(mean.feature_ids[j], rt @ mean.feature_rots[j],
-                           rt @ (mean.feature_pos[j] - mean.robot_pos), cov)
-
-
-def _noisy_odometry_of(u: Odometry, w: np.ndarray) -> Odometry:
-    return Odometry(so3_exp(w[0:3]) @ u.rot, u.pos + w[3:6], u.noise_cov)
-
-
-def _augmented_truth(true_state: GroupState, z: PoseObservation,
-                     v: np.ndarray) -> GroupState:
-    """Exact new-feature pose implied by observation z under noise v."""
-    new_rot = true_state.robot_rot @ so3_exp(-v[0:3]) @ z.rot
-    new_pos = true_state.robot_pos + true_state.robot_rot @ (z.pos - v[3:6])
-    return GroupState(
-        true_state.robot_rot, true_state.robot_pos,
-        np.concatenate([true_state.feature_rots, new_rot[None]]),
-        np.concatenate([true_state.feature_pos, new_pos[None]]),
-        true_state.feature_ids + (z.feature_id,))
-
-
-def jacobian_check_suite(seed: int = 0, num_states: int = 100,
-                         overrides: dict | None = None,
-                         sampling_samples: int = 20000) -> dict:
-    """Compare every analytic Jacobian against central finite differences and
-    the augmentation covariances against a sampling oracle.
-
-    Each convention is perturbed with its own retraction and measured with
-    its own error map. overrides maps check names to replacement
-    analytic-matrix callables; used by negative-control tests to prove the
-    suite catches sign bugs.
-    """
-    rng = np.random.default_rng(seed)
-    overrides = overrides or {}
-    fd_errors = {f"{tag}.{name}": 0.0 for tag in ("ri", "std")
-                 for name in ("F", "G", "H", "aug")}
-
-    def check(name, analytic, fn, dim):
-        if name in overrides:
-            analytic = overrides[name](analytic)
-        fd = _numeric_jacobian(fn, dim)
-        err = float(np.linalg.norm(analytic - fd)
-                    / max(np.linalg.norm(analytic), 1e-12))
-        fd_errors[name] = max(fd_errors[name], err)
-
-    for _ in range(num_states):
-        k = int(rng.integers(1, 4))
-        state = _random_state(rng, k)
-        mean = state.mean
-        d = tangent_dim(k)
-        u = Odometry(random_rotation(rng), rng.normal(size=3),
-                     np.diag(rng.uniform(0.01, 0.1, size=6) ** 2))
-        j = int(rng.integers(0, k))
-        omega = np.diag(rng.uniform(0.01, 0.1, size=6) ** 2)
-        z_new = PoseObservation("new", random_rotation(rng),
-                                rng.normal(size=3), omega)
-        pred = propagate_mean(mean, u)
-        # analytic Jacobians at the estimate against errors perturbed about it
-        for conv, tag in ((INVARIANT, "ri"), (STANDARD, "std")):
-            f, g = conv.propagation_jacobians(state, u)
-            check(f"{tag}.F", f, lambda xi: conv.error(
-                propagate_mean(conv.retract(mean, xi), u), pred), d)
-            check(f"{tag}.G", g, lambda w: conv.error(
-                propagate_mean(mean, _noisy_odometry_of(u, w)), pred), 6)
-            check(f"{tag}.H", conv.observation_jacobian(mean, j),
-                  lambda xi: conv.innovation(state, _exact_observation(
-                      conv.retract(mean, xi), j, omega)).y, d)
-            a, b = conv.augmentation_jacobians(state, z_new)
-            est_aug = conv.initialize_feature(state, z_new).mean
-            check(f"{tag}.aug", np.hstack([a, b]), lambda xiv: conv.error(
-                _augmented_truth(conv.retract(mean, xiv[:d]), z_new, xiv[d:]),
-                est_aug), d + 6)
-
-    sampling = {}
-    for conv in (INVARIANT, STANDARD):
-        state = _random_state(rng, 1)
-        state = FilterState(state.mean,
-                            0.005 ** 2 * np.eye(tangent_dim(1))
-                            + 0.003 ** 2 * np.ones((tangent_dim(1),) * 2) / 12)
-        omega = np.diag(rng.uniform(0.004, 0.01, size=6) ** 2)
-        z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), omega)
-        analytic = conv.initialize_feature(state, z).cov
-        emp = sample_augmented_covariance(state, z, conv.name,
-                                          sampling_samples, rng)
-        sampling[f"{conv.name}.P_aug"] = float(
-            np.linalg.norm(emp - analytic) / np.linalg.norm(analytic))
-
-    fd_pass = all(v < 1e-4 for v in fd_errors.values())
-    sampling_pass = all(v < 0.05 for v in sampling.values())
-    return {"fd_errors": fd_errors, "fd_tolerance": 1e-4,
-            "sampling_errors": sampling, "sampling_tolerance": 0.05,
-            "passed": fd_pass and sampling_pass}
-
-
-# --------------------------------------------------------------------------
-# Vectorized sampling oracle for the augmentation covariance
-# --------------------------------------------------------------------------
-
-def sample_augmented_covariance(state: FilterState, z: PoseObservation,
-                                convention: str, n: int,
-                                rng: np.random.Generator) -> np.ndarray:
-    """Empirical covariance of the augmented error from n joint samples.
-
-    Pushes state errors and observation noise through the exact nonlinear
-    augmentation, then extracts errors in the requested convention. Entirely
-    independent of the analytic covariance construction.
-    """
-    mean = state.mean
-    k = mean.num_features
-    d = tangent_dim(k)
-    xi = rng.multivariate_normal(np.zeros(d), state.cov, size=n)
-    v = rng.multivariate_normal(np.zeros(6), z.noise_cov, size=n)
-
-    e_r = batch_so3_exp(xi[:, rot_block(0)])
-    r_true = e_r @ mean.robot_rot
-    jl = batch_left_jacobian(xi[:, rot_block(0)])
-    if convention == "invariant":
-        p_true = (e_r @ mean.robot_pos) \
-            + np.einsum("nij,nj->ni", jl, xi[:, pos_block(0, k)])
-    else:
-        p_true = mean.robot_pos[None] + xi[:, pos_block(0, k)]
-    f_rots_true, f_pos_true = [], []
-    for j in range(k):
-        e_f = batch_so3_exp(xi[:, rot_block(j + 1)])
-        f_rots_true.append(e_f @ mean.feature_rots[j])
-        if convention == "invariant":
-            f_pos_true.append((e_r @ mean.feature_pos[j])
-                              + np.einsum("nij,nj->ni", jl, xi[:, pos_block(j + 1, k)]))
-        else:
-            f_pos_true.append(mean.feature_pos[j][None] + xi[:, pos_block(j + 1, k)])
-
-    # exact augmentation of the true state under observation noise v
-    new_rot_true = r_true @ batch_so3_exp(-v[:, 0:3]) @ z.rot
-    new_pos_true = p_true + np.einsum("nij,nj->ni", r_true, z.pos[None] - v[:, 3:6])
-
-    est_rot_new = mean.robot_rot @ z.rot
-    est_pos_new = mean.robot_pos + mean.robot_rot @ z.pos
-
-    d_aug = d + 6
-    out = np.empty((n, d_aug))
-    k_aug = k + 1
-    if convention == "invariant":
-        phi_r = batch_so3_log(r_true @ mean.robot_rot.T)
-        out[:, rot_block(0)] = phi_r
-        jinv = np.linalg.inv(batch_left_jacobian(phi_r))
-        d_r = r_true @ mean.robot_rot.T
-        out[:, pos_block(0, k_aug)] = np.einsum(
-            "nij,nj->ni", jinv, p_true - np.einsum("nij,j->ni", d_r, mean.robot_pos))
-        for j in range(k):
-            out[:, rot_block(j + 1)] = batch_so3_log(
-                f_rots_true[j] @ mean.feature_rots[j].T)
-            out[:, pos_block(j + 1, k_aug)] = np.einsum(
-                "nij,nj->ni", jinv,
-                f_pos_true[j] - np.einsum("nij,j->ni", d_r, mean.feature_pos[j]))
-        out[:, rot_block(k + 1)] = batch_so3_log(
-            new_rot_true @ est_rot_new.T)
-        out[:, pos_block(k + 1, k_aug)] = np.einsum(
-            "nij,nj->ni", jinv,
-            new_pos_true - np.einsum("nij,j->ni", d_r, est_pos_new))
-    else:
-        out[:, rot_block(0)] = batch_so3_log(r_true @ mean.robot_rot.T)
-        out[:, pos_block(0, k_aug)] = p_true - mean.robot_pos
-        for j in range(k):
-            out[:, rot_block(j + 1)] = batch_so3_log(
-                f_rots_true[j] @ mean.feature_rots[j].T)
-            out[:, pos_block(j + 1, k_aug)] = f_pos_true[j] - mean.feature_pos[j]
-        out[:, rot_block(k + 1)] = batch_so3_log(new_rot_true @ est_rot_new.T)
-        out[:, pos_block(k + 1, k_aug)] = new_pos_true - est_pos_new
-    return np.cov(out.T)

@@ -11,10 +11,11 @@ ids are hashable, a step holds at most one odometry record and step 0 none,
 and quaternions whose norm is within QUAT_NORM_TOL of 1 are normalized (others
 are rejected). A line that fails raises MalformedRecordError naming its line
 number. Jacobian logs are checked the same way: a JSON-object header with
-known filter and mode tags and, when present, an anchor of finite positions
-(robot_pos, and one feature_pos row per feature), which an ideal-mode
-standard-filter log must carry; finite entries, and F and H shapes that match
-the header's state dimension.
+known filter and mode tags, at least one step and, when present, an anchor of
+finite positions (robot_pos, and one feature_pos row per feature), which an
+ideal-mode standard-filter log must carry; finite entries, F and H shapes
+that match the header's state dimension, steps in the header's range, an F
+for every step and an H for some (what is missing names the header line).
 """
 
 import json
@@ -220,6 +221,8 @@ def read_jacobian_log(path) -> JacobianLog:
         for name, value in counts.items():
             if type(value) is not int or value < 0:
                 raise ValueError(f"{name} {value!r} is not a non-negative integer")
+        if counts["steps"] == 0:
+            raise ValueError("steps 0: the log holds no Jacobians to check")
         for name, allowed in (("filter", _JACOBIAN_FILTERS), ("mode", _JACOBIAN_MODES)):
             if header[name] not in allowed:
                 raise ValueError(f"{name} {header[name]!r} is not one of {allowed}")
@@ -267,12 +270,17 @@ def read_jacobian_log(path) -> JacobianLog:
             raise MalformedRecordError(f"line {lineno}: {exc}") from None
         if not np.isfinite(m).all():
             raise MalformedRecordError(f"line {lineno}: {tag} has non-finite entries")
+        if not 0 <= step < steps:
+            raise MalformedRecordError(
+                f"line {lineno}: {tag} step {step} is outside the header's 0..{steps - 1}")
         found = fs if tag == "F" else hs
         if step in found:
             raise MalformedRecordError(f"line {lineno}: second {tag} for step {step}")
         found[step] = m
     for k in range(steps):
         if k not in fs:
-            raise MalformedRecordError(f"missing F matrix for step {k}")
+            raise MalformedRecordError(f"line 1: step {k} of {steps} has no F matrix")
         log.append(fs[k], hs.get(k))
+    if not hs:
+        raise MalformedRecordError("line 1: no step has an H matrix (observations)")
     return log

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularCovarianceError
-from .group import GroupState, group_log, group_minus, pos_block, rot_block
-from .lie import so3_log
+from .group import (GroupState, group_log, group_minus, join_tangent, pos_block,
+                    rot_block)
+from .lie import batch_so3_log
 from .types import FilterState
 
 BLOCKS = ("robot-rot", "robot-pos", "robot-pose",
@@ -71,7 +72,7 @@ def restrict_to(true: GroupState, feature_ids: tuple) -> GroupState:
     """True state reduced to the given feature subset, in that order."""
     idx = [true.index_of(fid) for fid in feature_ids]
     return GroupState(true.robot_rot, true.robot_pos,
-                      true.feature_rots[idx], true.feature_pos[idx],
+                      true.feature_rots[..., idx, :, :], true.feature_pos[..., idx, :],
                       tuple(feature_ids))
 
 
@@ -81,16 +82,13 @@ def invariant_error_vector(true: GroupState, est_mean: GroupState) -> np.ndarray
 
 
 def standard_error_vector(true: GroupState, est_mean: GroupState) -> np.ndarray:
-    """Per-block error: left rotation logs and position differences."""
+    """Per-block error: left rotation logs and position differences. The
+    relative rotations are checked for orthonormality, as so3_log checks."""
     t = restrict_to(true, est_mean.feature_ids)
-    k = est_mean.num_features
-    eta = np.zeros(6 + 6 * k)
-    eta[rot_block(0)] = so3_log(t.robot_rot @ est_mean.robot_rot.T)
-    eta[pos_block(0, k)] = t.robot_pos - est_mean.robot_pos
-    for j in range(k):
-        eta[rot_block(j + 1)] = so3_log(t.feature_rots[j] @ est_mean.feature_rots[j].T)
-        eta[pos_block(j + 1, k)] = t.feature_pos[j] - est_mean.feature_pos[j]
-    return eta
+    # a contiguous right operand keeps a stacked matmul on numpy's fast path
+    rel = t.rotations @ np.ascontiguousarray(np.swapaxes(est_mean.rotations, -1, -2))
+    return join_tangent(batch_so3_log(rel, validate=True),
+                        t.positions - est_mean.positions)
 
 
 def error_sample(convention, true: GroupState, est: FilterState, block: str,

@@ -35,7 +35,6 @@ class SimConfig:
     sigma: np.ndarray = field(default_factory=_default_noise)
     omega: np.ndarray = field(default_factory=_default_noise)
     seed: int = 0
-    monte_carlo_runs: int = 50
     placement: str = "ring"  # "ring" scatters features around the circle,
                              # "central" keeps them always inside sensing range
 

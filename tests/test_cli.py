@@ -128,12 +128,20 @@ def test_zero_noise_simulation(tmp_path, capsys):
     ["simulate", "--jobs", "0"],
     ["check-jacobians", "--num-states", "0"],
     ["check-jacobians", "--num-states", "-3"],
+    # noise stddevs: each once ended in a traceback or a NaN table
+    ["simulate", "--sigma", "nan", "0.1", "0.1", "0.1", "0.1", "0.1"],
+    ["simulate", "--sigma", "inf", "0.1", "0.1", "0.1", "0.1", "0.1"],
+    ["simulate", "--sigma", "0", "0", "0", "0", "0", "0"],
+    ["simulate", "--omega", "0", "0", "0", "0", "0", "0"],
+    ["simulate", "--omega", "0.1", "0.1", "-0.1", "0.1", "0.1", "0.1"],
+    ["replay", "--odom-sigma", "0.1", "0.1", "0.1", "0.1", "0.1", "nan"],
 ])
 def test_non_positive_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "is not a positive integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "is not a positive integer" in err or "is not a positive finite" in err
 
 
 def test_replay_without_odometry_exits_2_with_step_and_hint(tmp_path, capsys):
@@ -198,7 +206,16 @@ def test_replay_divergence_names_its_cause(tmp_path, capsys):
     ("--log", '{"step": 0, "kind": "obs", "feature_id": 0, '
               '"position": [0, 0, 0], "cov": [0.01, 0, 0, 0, 0, 0, 0.01, 0, 0, 0, '
               '0, 0.01, 0, 0, 0, 0.01, 0, 0, 0.01, 0, 0.01]}', "missing 'rotation'"),
-], ids=["jacobian-log-list-header", "measurement-log-list", "obs-without-rotation"])
+    ("--jacobian-log", '{"filter": "riekf", "mode": "estimated", '
+                       '"num_features": 1, "steps": 0}', "no Jacobians"),
+    ("--jacobian-log", '{"filter": "riekf", "mode": "estimated", '
+                       '"num_features": 1, "steps": 2}', "step 0 of 2 has no F"),
+    ("--jacobian-log", '{"filter": "riekf", "mode": "estimated", '
+                       '"num_features": 0, "steps": 1}\nF 0 6 6 ' + " ".join(
+                           ["1", "0", "0", "0", "0", "0", "0"] * 5 + ["1"]),
+     "no step has an H"),
+], ids=["jacobian-log-list-header", "measurement-log-list", "obs-without-rotation",
+        "jacobian-log-no-steps", "jacobian-log-header-only", "jacobian-log-without-h"])
 def test_malformed_log_is_one_line_exit_2(tmp_path, capsys, flag, content, message):
     path = tmp_path / "bad.txt"
     path.write_text(content + "\n")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from objectslam.ekf import INVARIANT, STANDARD
-from objectslam.group import group_compose, group_exp, rot_block, tangent_dim
-from objectslam.lie import so3_exp
+from objectslam.group import (group_compose, group_exp, rot_block, split_tangent,
+                              tangent_dim)
+from objectslam.lie import batch_so3_log, so3_exp, so3_log
 from objectslam.types import Odometry, PoseObservation, symmetrize
 
 from test_riekf import random_filter_state
@@ -24,6 +25,40 @@ def test_error_inverts_retraction_for_both_conventions():
                     delta[rot_block(i)] *= (np.pi - 0.1) * rng.uniform() / n
             err = conv.error(conv.retract(mean, delta), mean)
             assert np.max(np.abs(err - delta)) < 1e-12, conv.name
+
+
+# rotation-block angles from zero through both small-angle regimes up to
+# the invariant log's domain boundary at pi - 1e-6, where the error map's
+# antisymmetric-part formula would lose the axis
+ROUND_TRIP_ANGLES = (0.0, 1e-9, 5e-5, 0.3, 2.0, 2.7, np.pi - 1e-3,
+                     np.pi - 1e-5, np.pi - 1.001e-6)
+
+
+@pytest.mark.parametrize("conv", [INVARIANT, STANDARD], ids=lambda c: c.name)
+def test_error_inverts_retraction_over_a_leading_axis_up_to_pi(conv):
+    rng = np.random.default_rng(41)
+    k, n = 3, 1200
+    mean = random_filter_state(rng, k=k).mean
+    delta = rng.normal(size=(n, tangent_dim(k)))
+    rot_vecs, _ = split_tangent(delta, k)
+    rot_vecs /= np.linalg.norm(rot_vecs, axis=-1, keepdims=True)
+    rot_vecs *= rng.choice(ROUND_TRIP_ANGLES, size=(n, k + 1, 1))
+    delta = np.concatenate([rot_vecs.reshape(n, -1), delta[:, 3 * (k + 1):]], axis=1)
+    truth = conv.retract(mean, delta)
+    assert truth.robot_rot.shape == (n, 3, 3)
+    assert truth.feature_pos.shape == (n, k, 3)
+    err = conv.error(truth, mean)
+    assert err.shape == (n, tangent_dim(k))
+    assert np.abs(err - delta).max() < 1e-9
+    # without a leading axis: the same maps, the same numbers
+    for i in range(0, n, 97):
+        one = conv.error(conv.retract(mean, delta[i]), mean)
+        assert np.abs(one - delta[i]).max() < 1e-9
+        assert np.abs(one - err[i]).max() < 1e-12
+    # the batch log agrees with the scalar one on the retracted rotations
+    rots = truth.rotations @ np.swapaxes(mean.rotations, -1, -2)
+    scalar = np.array([[so3_log(r, validate=False) for r in lanes] for lanes in rots])
+    assert np.abs(batch_so3_log(rots) - scalar).max() < 1e-12
 
 
 def _setup(seed, k):

@@ -7,13 +7,14 @@ from objectslam import harness
 from objectslam.group import GroupState
 from objectslam.errors import MissingOdometryError
 from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
-                                jacobian_check_suite, replay_metrics, run_filter,
+                                replay_metrics, run_filter,
                                 run_monte_carlo, simulated_steps,
                                 synthesize_constant_velocity_odometry)
 from objectslam.lie import random_rotation
 from objectslam.logio import read_measurement_log, write_measurement_log
 from objectslam.metrics import standard_error_vector
 from objectslam.observability import check_null_space
+from objectslam.oracles import jacobian_check_suite
 from objectslam.simulator import (SimConfig, generate_world,
                                   sample_observations, simulate_run)
 from objectslam.types import PoseObservation

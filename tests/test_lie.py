@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from objectslam.errors import InvalidRotationError
-from objectslam.lie import (left_jacobian, left_jacobian_inv, project_to_so3,
+from objectslam.errors import InvalidRotationError, LogDomainError
+from objectslam.lie import (batch_left_jacobian_inv, batch_so3_exp,
+                            batch_so3_log, project_to_so3,
                             random_rotation, rot_to_quat, quat_to_rot,
                             skew, so3_exp, so3_log)
+
+
+def left_jacobian(phi):
+    return batch_so3_exp(phi, left_jacobian=True)[1]
 
 
 def series_exp(phi, terms=30):
@@ -149,8 +154,53 @@ def test_left_jacobian_inverse():
     rng = np.random.default_rng(6)
     for _ in range(300):
         phi = rng.uniform(-1.5, 1.5, size=3)
-        prod = left_jacobian(phi) @ left_jacobian_inv(phi)
+        prod = left_jacobian(phi) @ batch_left_jacobian_inv(phi)
         assert np.allclose(prod, np.eye(3), atol=1e-10)
+
+
+def test_left_jacobian_inverse_over_leading_axes_and_regimes():
+    rng = np.random.default_rng(9)
+    axes = rng.normal(size=(4, 50, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    # tiny, series-regime and closed-form angles in one batch
+    phis = axes * np.array([0.0, 1e-9, 5e-5, 0.5, 3.0])[rng.integers(0, 5, (4, 50))][..., None]
+    prod = left_jacobian(phis) @ batch_left_jacobian_inv(phis)
+    assert prod.shape == (4, 50, 3, 3)
+    assert np.allclose(prod, np.eye(3), atol=1e-10)
+    with pytest.raises(LogDomainError):
+        batch_left_jacobian_inv(np.array([2.0 * np.pi, 0.0, 0.0]))
+
+
+def test_batch_exp_and_left_jacobian_match_scalar_and_series():
+    rng = np.random.default_rng(10)
+    phis = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-9, 0.4, size=(300, 1))
+    rots, jls = batch_so3_exp(phis, left_jacobian=True)
+    assert np.array_equal(rots, batch_so3_exp(phis))
+    for phi, r, jl in zip(phis, rots, jls):
+        assert np.array_equal(r, so3_exp(phi))
+        assert np.allclose(jl, series_left_jacobian(phi), atol=1e-12)
+
+
+def test_batch_so3_log_matches_scalar_up_to_pi():
+    rng = np.random.default_rng(11)
+    axes = rng.normal(size=(2000, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    for angle in (0.0, 1e-9, 1e-5, 0.3, 2.5, 2.7, np.pi - 1e-3,
+                  np.pi - 1e-5, np.pi - 1e-6, np.pi):
+        rots = batch_so3_exp(angle * axes)
+        batch = batch_so3_log(rots)
+        scalar = np.array([so3_log(r) for r in rots])
+        assert np.abs(batch - scalar).max() <= 1e-12, angle
+    # the same near-pi regime over two leading axes
+    rots = batch_so3_exp((np.pi - 1e-6) * axes).reshape(40, 50, 3, 3)
+    assert batch_so3_log(rots).shape == (40, 50, 3)
+
+
+def test_batch_so3_log_validates_every_rotation():
+    rots = np.stack([np.eye(3), np.eye(3) * 1.1])
+    batch_so3_log(rots)
+    with pytest.raises(InvalidRotationError):
+        batch_so3_log(rots, validate=True)
 
 
 def test_project_to_so3():

@@ -485,6 +485,39 @@ def test_jacobian_log_duplicate_matrix_rejected(tmp_path):
         read_jacobian_log(path)
 
 
+@pytest.mark.parametrize("tag, step", [("H", 7), ("F", -3), ("F", 1)])
+def test_jacobian_log_step_outside_header_range_names_its_line(tmp_path, tag, step):
+    # such lines were once dropped silently and the rest of the log checked
+    path, lines = _jacobian_log_lines(tmp_path)
+    header = json.loads(lines[0])
+    header["steps"] = 1
+    kept = [json.dumps(header)] + [line for line in lines[1:]
+                                   if line.split()[1] == "0"]
+    extra = kept[1].split()
+    extra[0:2] = [tag, str(step)]
+    path.write_text("\n".join(kept + [" ".join(extra)]) + "\n")
+    with pytest.raises(MalformedRecordError,
+                       match=rf"^line {len(kept) + 1}: {tag} step {step} is outside "
+                             r"the header's 0\.\.0"):
+        read_jacobian_log(path)
+
+
+def test_jacobian_log_missing_steps_name_the_header_line(tmp_path):
+    path, lines = _jacobian_log_lines(tmp_path)
+    header = json.loads(lines[0])
+    path.write_text(lines[0] + "\n")
+    with pytest.raises(MalformedRecordError,
+                       match=f"^line 1: step 0 of {header['steps']} has no F"):
+        read_jacobian_log(path)
+    path.write_text("\n".join(l for l in lines if not l.startswith("H")) + "\n")
+    with pytest.raises(MalformedRecordError, match="^line 1: no step has an H"):
+        read_jacobian_log(path)
+    header["steps"] = 0
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(MalformedRecordError, match="^line 1: .*steps 0"):
+        read_jacobian_log(path)
+
+
 def test_jacobian_log_non_utf8_byte_names_its_line(tmp_path):
     path, lines = _jacobian_log_lines(tmp_path)
     raw = path.read_bytes().split(b"\n")

@@ -7,7 +7,7 @@ from objectslam.errors import (DuplicateFeatureError,
                                UnknownFeatureError)
 from objectslam.group import (GroupState, group_compose, group_exp, group_log,
                               group_minus, pos_block, rot_block, tangent_dim)
-from objectslam.harness import (_numeric_jacobian, sample_augmented_covariance)
+from objectslam.oracles import _numeric_jacobian, sample_augmented_covariance
 from objectslam.lie import random_rotation, skew, so3_exp, so3_log
 from objectslam.types import FilterState, Odometry, PoseObservation
 
@@ -316,7 +316,7 @@ def test_initialize_covariance_matches_sampling_oracle():
     omega = np.diag(rng.uniform(0.003, 0.009, size=6) ** 2)
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), omega)
     analytic = INVARIANT.initialize_feature(state, z).cov
-    empirical = sample_augmented_covariance(state, z, "invariant", 100_000,
+    empirical = sample_augmented_covariance(state, z, INVARIANT, 100_000,
                                             np.random.default_rng(99))
     rel = np.linalg.norm(empirical - analytic) / np.linalg.norm(analytic)
     assert rel < 0.05

@@ -4,7 +4,7 @@ import pytest
 from objectslam.ekf import INVARIANT, STANDARD, apply_std_error, propagate_mean
 from objectslam.errors import DuplicateFeatureError
 from objectslam.group import GroupState, pos_block, rot_block, tangent_dim
-from objectslam.harness import _numeric_jacobian, sample_augmented_covariance
+from objectslam.oracles import _numeric_jacobian, sample_augmented_covariance
 from objectslam.lie import random_rotation, skew, so3_exp, so3_log
 from objectslam.metrics import standard_error_vector
 from objectslam.types import FilterState, Odometry, PoseObservation
@@ -251,7 +251,7 @@ def test_augmentation_covariance_matches_sampling_oracle():
     omega = np.diag(rng.uniform(0.003, 0.009, size=6) ** 2)
     z = PoseObservation("new", random_rotation(rng), rng.normal(size=3), omega)
     analytic = STANDARD.initialize_feature(state, z).cov
-    empirical = sample_augmented_covariance(state, z, "standard", 100_000,
+    empirical = sample_augmented_covariance(state, z, STANDARD, 100_000,
                                             np.random.default_rng(77))
     rel = np.linalg.norm(empirical - analytic) / np.linalg.norm(analytic)
     assert rel < 0.05
