@@ -21,14 +21,14 @@ from .harness import (FilterSpec, RunConfig, inject_outliers,
                       run_monte_carlo, simulated_steps,
                       synthesize_constant_velocity_odometry)
 from .lie import project_to_so3, random_rotation, skew, so3_exp, so3_log
-from .metrics import BLOCKS, ErrorSample, error_sample, nees, rmse
+from .metrics import BLOCKS, nees, rmse
 from .observability import (JacobianLog, ObservabilityReport, SubspaceBasis,
                             build_observability_matrix, check_null_space,
                             null_space)
 from .oracles import jacobian_check_suite
 from .simulator import (GroundTruthTrace, SimConfig, generate_trajectory,
-                        generate_world, sample_noisy_odometry,
-                        sample_observations, simulate_run, step_odometry)
+                        generate_world, sample_observations, simulate_run,
+                        step_odometry)
 from .types import FilterState, Innovation, Odometry, PoseObservation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedRecordError, MissingOdometryError
-from .harness import (FILTER_KINDS, FilterSpec, RunConfig, format_summary_table,
+from .harness import (FilterSpec, RunConfig, format_summary_table,
                       observability_experiment, replay_metrics, run_filter,
                       run_monte_carlo)
 from .lie import rot_to_quat
 from .logio import (read_jacobian_log, read_measurement_log,
                     write_jacobian_log, write_measurement_log)
-from .observability import check_null_space
+from .observability import FILTER_KINDS, check_null_space
 from .oracles import jacobian_check_suite
 from .simulator import SimConfig, generate_world, simulate_run
 
@@ -24,6 +24,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not a non-negative integer")
     return value
 
 
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--robust", action="store_true", help="enable 3-sigma gating")
     p.add_argument("--runs", "-m", type=_positive_int, default=50,
                    help="Monte-Carlo runs (default 50)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--loops", type=_positive_int, default=25)
     p.add_argument("--num-features", type=_positive_int, default=6)
     p.add_argument("--eval-stride", type=_positive_int, default=50)
@@ -207,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["estimated", "ideal"], default="estimated")
     p.add_argument("--num-features", type=_positive_int, default=1)
     p.add_argument("--steps", type=_positive_int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.add_argument("--save-log", metavar="PATH")
     p.add_argument("--out", metavar="PATH", help="write the JSON report here")
     p.set_defaults(func=_cmd_observability)
 
     p = sub.add_parser("check-jacobians", help="finite-difference oracle suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--num-states", type=_positive_int, default=100)
     p.set_defaults(func=_cmd_check_jacobians)
     return parser
@@ -224,7 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MalformedRecordError as exc:
+    except (MalformedRecordError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,11 +22,10 @@ from .group import GroupState
 from .lie import so3_exp, so3_log
 from .logio import ReplayStep, write_jacobian_log
 from .metrics import BLOCKS, collect_samples, nees, rmse, standard_error_vector
-from .observability import JacobianLog
+from .observability import FILTER_KINDS, JacobianLog
 from .simulator import SimConfig, _noise_factor, generate_world, simulate_run
 from .types import FilterState, Odometry, PoseObservation, initial_filter_state
 
-FILTER_KINDS = ("riekf", "stdekf", "ideal")
 # a run whose standard error norm exceeds this at an evaluated step diverged
 DIVERGENCE_ERROR = 1e3
 
@@ -209,8 +208,7 @@ def run_filter(spec: FilterSpec, steps: dict,
         if step in eval_steps:
             try:
                 result.metric_samples[step] = collect_samples(
-                    truth_states[step], state, conv,
-                    label=f"step{step}")
+                    truth_states[step], state, conv)
             except LogDomainError as exc:
                 result.diverged = True
                 result.reason = f"step {step}: {exc}"
@@ -251,8 +249,8 @@ def replay_metrics(steps: dict, result: RunResult) -> dict | None:
         return None
     errs = np.asarray(robot_err)
     metrics = {
-        "robot_rot_rmse": rmse(list(errs[:, 0:3])),
-        "robot_pos_rmse": rmse(list(errs[:, 3:6])),
+        "robot_rot_rmse": rmse(errs[:, 0:3]),
+        "robot_pos_rmse": rmse(errs[:, 3:6]),
         "final_robot_rot_error": float(np.linalg.norm(errs[-1, 0:3])),
         "final_robot_pos_error": float(np.linalg.norm(errs[-1, 3:6])),
     }
@@ -264,8 +262,8 @@ def replay_metrics(steps: dict, result: RunResult) -> dict | None:
             f_rot.append(so3_log(r_t @ mean.feature_rots[j].T))
             f_pos.append(p_t - mean.feature_pos[j])
     if f_rot:
-        metrics["feature_rot_rmse"] = rmse(f_rot)
-        metrics["feature_pos_rmse"] = rmse(f_pos)
+        metrics["feature_rot_rmse"] = rmse(np.asarray(f_rot))
+        metrics["feature_pos_rmse"] = rmse(np.asarray(f_pos))
     return metrics
 
 
@@ -346,21 +344,19 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
     for spec in cfg.filters:
         name = spec.name
         diverged = [i for i, out in results if out[name].diverged]
+        kept = [out[name] for _, out in results if not out[name].diverged]
         rows = []
         for step in eval_steps:
-            pooled = {b: {"nees": [], "rmse": []} for b in BLOCKS}
-            for i, out in results:
-                res = out[name]
-                if res.diverged or step not in res.metric_samples:
-                    continue
-                samples = res.metric_samples[step]
-                for b in BLOCKS:
-                    pooled[b]["nees"].extend(samples["nees"][b])
-                    pooled[b]["rmse"].extend(samples["rmse"][b])
+            samples = [res.metric_samples[step] for res in kept
+                       if step in res.metric_samples]
+            if not samples:
+                continue
             for b in BLOCKS:
-                if pooled[b]["nees"]:
-                    rows.append((step, b, rmse(pooled[b]["rmse"]),
-                                 nees(pooled[b]["nees"])))
+                errors, covs, std_errors = (np.concatenate(parts) for parts in
+                                            zip(*(s[b] for s in samples)))
+                if len(errors):
+                    rows.append((step, b, rmse(std_errors),
+                                 nees(errors, covs, label=f"step {step}, {b}")))
         per_filter_rows[name] = rows
         final = {b: {} for b in BLOCKS}
         for step, b, r, ne in rows:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import MalformedRecordError
 from .lie import quat_to_rot, rot_to_quat
-from .observability import JacobianLog
+from .observability import FILTER_KINDS, JacobianLog
 from .types import Odometry, PoseObservation
 
 _KINDS = ("odom", "obs", "truth")
@@ -36,8 +36,7 @@ _TRIU = np.triu_indices(6)
 QUAT_NORM_TOL = 1e-4
 # what json.loads makes of a JSON number (bool is excluded by exact type)
 _NUMBER_TYPES = frozenset((int, float))
-# the tags a Jacobian-log header may carry
-_JACOBIAN_FILTERS = ("riekf", "stdekf", "ideal")
+# the modes a Jacobian-log header may carry
 _JACOBIAN_MODES = ("estimated", "ideal")
 
 
@@ -223,7 +222,7 @@ def read_jacobian_log(path) -> JacobianLog:
                 raise ValueError(f"{name} {value!r} is not a non-negative integer")
         if counts["steps"] == 0:
             raise ValueError("steps 0: the log holds no Jacobians to check")
-        for name, allowed in (("filter", _JACOBIAN_FILTERS), ("mode", _JACOBIAN_MODES)):
+        for name, allowed in (("filter", FILTER_KINDS), ("mode", _JACOBIAN_MODES)):
             if header[name] not in allowed:
                 raise ValueError(f"{name} {header[name]!r} is not one of {allowed}")
         anchor = header.get("anchor")

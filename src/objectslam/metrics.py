@@ -6,13 +6,11 @@ errors for the standard/ideal filters. Accuracy (RMSE) always uses the
 per-block standard error so no filter benefits from its own convention.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularCovarianceError
-from .group import (GroupState, group_log, group_minus, join_tangent, pos_block,
-                    rot_block)
+from .group import (GroupState, group_log, group_minus, join_tangent,
+                    split_tangent)
 from .lie import batch_so3_log
 from .types import FilterState
 
@@ -20,52 +18,33 @@ BLOCKS = ("robot-rot", "robot-pos", "robot-pose",
           "feature-rot", "feature-pos", "feature-pose")
 
 
-@dataclass(frozen=True)
-class ErrorSample:
-    """Error vector with the covariance block it should be judged against."""
-
-    e: np.ndarray
-    P: np.ndarray
-    block: str
-    label: str = ""
+def _squared_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a_i' b_i of two (n, m) stacks, rounded as a 1-D dot product."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def nees(samples) -> float:
-    """Average normalized estimation error squared, 1/(m*d) * sum e' P^-1 e."""
-    if not samples:
+def nees(errors: np.ndarray, covariances: np.ndarray, label: str = "") -> float:
+    """Average normalized estimation error squared, 1/(n*m) * sum e' P^-1 e,
+    of (n, m) errors against their (n, m, m) covariance blocks."""
+    n, m = errors.shape
+    if n == 0:
         raise ValueError("nees needs at least one sample")
-    d = samples[0].e.shape[0]
-    total = 0.0
-    for s in samples:
-        if s.e.shape[0] != d:
-            raise DimensionMismatchError("mixed sample dimensions in nees")
-        try:
-            total += float(s.e @ np.linalg.solve(s.P, s.e))
-        except np.linalg.LinAlgError:
-            raise SingularCovarianceError(
-                f"singular covariance block in sample {s.label or s.block!r}") from None
-    return total / (len(samples) * d)
+    if covariances.shape != (n, m, m):
+        raise DimensionMismatchError(
+            f"covariances of shape {covariances.shape} for errors {errors.shape}")
+    try:
+        scaled = np.linalg.solve(covariances, errors[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        raise SingularCovarianceError(
+            f"singular covariance block in {label or 'a sample'}") from None
+    return float(_squared_norms(errors, scaled).sum()) / (n * m)
 
 
-def rmse(errors) -> float:
-    """Root mean squared error norm over a set of error vectors."""
-    errors = list(errors)
-    if not errors:
+def rmse(errors: np.ndarray) -> float:
+    """Root mean squared error norm over (n, m) error vectors."""
+    if len(errors) == 0:
         raise ValueError("rmse needs at least one error")
-    return float(np.sqrt(np.mean([float(e @ e) for e in errors])))
-
-
-def _block_indices(block: str, feature_index: int, k: int) -> np.ndarray:
-    i = 0 if block.startswith("robot") else feature_index + 1
-    rot = np.arange(*rot_block(i).indices(6 + 6 * k))
-    pos = np.arange(*pos_block(i, k).indices(6 + 6 * k))
-    if block.endswith("-rot"):
-        return rot
-    if block.endswith("-pos"):
-        return pos
-    if block.endswith("-pose"):
-        return np.concatenate([rot, pos])
-    raise ValueError(f"unknown block {block!r}")
+    return float(np.sqrt(np.mean(_squared_norms(errors, errors))))
 
 
 def restrict_to(true: GroupState, feature_ids: tuple) -> GroupState:
@@ -91,42 +70,24 @@ def standard_error_vector(true: GroupState, est_mean: GroupState) -> np.ndarray:
                         t.positions - est_mean.positions)
 
 
-def error_sample(convention, true: GroupState, est: FilterState, block: str,
-                 feature_id=None, label: str = "") -> ErrorSample:
-    """Error sample for one block under convention.error (an ekf.Convention)."""
-    full_error = convention.error(true, est.mean)
-    k = est.mean.num_features
-    j = est.mean.index_of(feature_id) if feature_id is not None else 0
-    if block.startswith("feature") and feature_id is None:
-        raise ValueError("feature blocks need a feature_id")
-    idx = _block_indices(block, j, k)
-    return ErrorSample(full_error[idx], est.cov[np.ix_(idx, idx)], block, label)
-
-
-def collect_samples(true: GroupState, est: FilterState, convention,
-                    label: str = "") -> dict:
-    """One NEES sample set and one RMSE error set per block.
+def collect_samples(true: GroupState, est: FilterState, convention) -> dict:
+    """Per block name, (NEES errors (n, m), their covariance blocks (n, m, m),
+    standard errors (n, m)): n = 1 for robot blocks, n = K for feature blocks.
 
     NEES errors come from convention.error, the error map of the filter's
-    ekf.Convention; RMSE errors are always standard. Feature blocks pool every
-    tracked feature. The full error vectors are computed once and sliced per
-    block.
+    ekf.Convention; RMSE errors are always standard. Both full error vectors
+    are computed once, and the K+1 6x6 pose blocks of the covariance are
+    gathered once.
     """
     k = est.mean.num_features
-    std_full = standard_error_vector(true, est.mean)
-    nees_full = convention.error(true, est.mean)
-    nees_samples = {b: [] for b in BLOCKS}
-    rmse_errors = {b: [] for b in BLOCKS}
-
-    def add(block, j, tag):
-        idx = _block_indices(block, j, k)
-        nees_samples[block].append(
-            ErrorSample(nees_full[idx], est.cov[np.ix_(idx, idx)], block, tag))
-        rmse_errors[block].append(std_full[idx])
-
-    for block in ("robot-rot", "robot-pos", "robot-pose"):
-        add(block, 0, label)
-    for j, fid in enumerate(est.mean.feature_ids):
-        for block in ("feature-rot", "feature-pos", "feature-pose"):
-            add(block, j, f"{label}/{fid}")
-    return {"nees": nees_samples, "rmse": rmse_errors}
+    nees_err = np.concatenate(split_tangent(convention.error(true, est.mean), k), -1)
+    std_err = np.concatenate(split_tangent(standard_error_vector(true, est.mean), k), -1)
+    # tangent indices of each pose's [rotation, position] block, (K+1, 6)
+    idx = np.arange(6 * (k + 1)).reshape(2, k + 1, 3).swapaxes(0, 1).reshape(k + 1, 6)
+    cov = est.cov[idx[:, :, None], idx[:, None, :]]
+    out = {}
+    for who, poses in (("robot", slice(0, 1)), ("feature", slice(1, None))):
+        for part, c in (("rot", slice(0, 3)), ("pos", slice(3, 6)), ("pose", slice(0, 6))):
+            out[f"{who}-{part}"] = (nees_err[poses, c], cov[poses, c, c],
+                                    std_err[poses, c])
+    return out

@@ -16,6 +16,8 @@ from .group import pos_block, rot_block, tangent_dim
 from .lie import skew
 
 DEFAULT_RANK_TOL = 1e-8
+# the filters a run, a Jacobian log and the CLI can name
+FILTER_KINDS = ("riekf", "stdekf", "ideal")
 
 
 @dataclass
@@ -29,7 +31,7 @@ class JacobianLog:
     (needed by the ideal-mode null-space basis).
     """
 
-    filter_name: str
+    filter_name: str  # one of FILTER_KINDS
     mode: str
     num_features: int
     F: list = field(default_factory=list)

@@ -9,7 +9,8 @@ import numpy as np
 
 from .ekf import INVARIANT, STANDARD, Convention, propagate_mean
 from .group import GroupState, tangent_dim
-from .lie import batch_so3_exp, random_rotation, so3_exp
+from .lie import batch_so3_exp, random_rotation
+from .simulator import perturb_odometry
 from .types import FilterState, Odometry, PoseObservation
 
 
@@ -37,10 +38,6 @@ def _exact_observation(mean: GroupState, j: int, cov: np.ndarray) -> PoseObserva
     rt = mean.robot_rot.T
     return PoseObservation(mean.feature_ids[j], rt @ mean.feature_rots[j],
                            rt @ (mean.feature_pos[j] - mean.robot_pos), cov)
-
-
-def _noisy_odometry_of(u: Odometry, w: np.ndarray) -> Odometry:
-    return Odometry(so3_exp(w[0:3]) @ u.rot, u.pos + w[3:6], u.noise_cov)
 
 
 def _augmented_truth(true_state: GroupState, z: PoseObservation,
@@ -99,7 +96,7 @@ def jacobian_check_suite(seed: int = 0, num_states: int = 100,
             check(f"{tag}.F", f, lambda xi: conv.error(
                 propagate_mean(conv.retract(mean, xi), u), pred), d)
             check(f"{tag}.G", g, lambda w: conv.error(
-                propagate_mean(mean, _noisy_odometry_of(u, w)), pred), 6)
+                propagate_mean(mean, perturb_odometry(u, w)), pred), 6)
             check(f"{tag}.H", conv.observation_jacobian(mean, j),
                   lambda xi: conv.innovation(state, _exact_observation(
                       conv.retract(mean, xi), j, omega)).y, d)

@@ -159,12 +159,10 @@ def _noise_factor(cov: np.ndarray) -> np.ndarray:
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def sample_noisy_odometry(u: Odometry, sigma: np.ndarray,
-                          rng: np.random.Generator) -> tuple:
-    """Measured odometry with rotation noise on the left and body-frame
-    translation noise; also returns the drawn noise vector."""
-    w = _noise_factor(sigma) @ rng.standard_normal(6)
-    return Odometry(so3_exp(w[0:3]) @ u.rot, u.pos + w[3:6], sigma), w
+def perturb_odometry(u: Odometry, w: np.ndarray) -> Odometry:
+    """u as measured under the drawn noise 6-vector w: rotation noise on the
+    left, body-frame translation noise added."""
+    return Odometry(so3_exp(w[0:3]) @ u.rot, u.pos + w[3:6], u.noise_cov)
 
 
 def sample_observations(true_state: GroupState, cfg: SimConfig,
@@ -204,9 +202,8 @@ def simulate_run(cfg: SimConfig, world: GroupState, rng: np.random.Generator,
     observations = [sample_observations(trace.states[0], cfg, rng,
                                         _factor=omega_factor)]
     for i in range(n):
-        u = trace.odometry[i]
         w = sigma_factor @ rng.standard_normal(6)
-        odoms.append(Odometry(so3_exp(w[0:3]) @ u.rot, u.pos + w[3:6], cfg.sigma))
+        odoms.append(perturb_odometry(trace.odometry[i], w))
         noises[i] = w
         observations.append(sample_observations(trace.states[i + 1], cfg, rng,
                                                 _factor=omega_factor))

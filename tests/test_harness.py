@@ -5,7 +5,7 @@ import pytest
 
 from objectslam import harness
 from objectslam.group import GroupState
-from objectslam.errors import MissingOdometryError
+from objectslam.errors import MissingOdometryError, SingularCovarianceError
 from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
                                 replay_metrics, run_filter,
                                 run_monte_carlo, simulated_steps,
@@ -383,6 +383,14 @@ def test_zero_noise_monte_carlo_errors_vanish():
     final = summary["filters"]["riekf"]["final"]
     assert final["robot-pose"]["rmse"] < 1e-8
     assert final["feature-pose"]["rmse"] < 1e-8
+
+
+def test_singular_pooled_covariance_names_step_and_block():
+    # without odometry noise the robot's rotation covariance stays zero
+    cfg = RunConfig(sim=SimConfig(loops=1, seed=3).with_noise([0.0] * 6, [0.1] * 6),
+                    runs=2, filters=(FilterSpec("riekf"),), eval_stride=40)
+    with pytest.raises(SingularCovarianceError, match="step 40, robot-rot"):
+        run_monte_carlo(cfg)
 
 
 def test_jacobian_capture_waits_for_the_observed_features_only():

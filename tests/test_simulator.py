@@ -5,10 +5,10 @@ import numpy as np
 from objectslam.ekf import propagate_mean
 from objectslam.group import GroupState
 from objectslam.lie import so3_exp, so3_log
-from objectslam.simulator import (SimConfig, generate_trajectory,
-                                  generate_world, sample_noisy_odometry,
-                                  sample_observations, simulate_run,
-                                  step_odometry)
+from objectslam.simulator import (SimConfig, _noise_factor,
+                                  generate_trajectory, generate_world,
+                                  perturb_odometry, sample_observations,
+                                  simulate_run, step_odometry)
 from objectslam.types import Odometry
 
 
@@ -111,7 +111,8 @@ def test_zero_observation_noise_is_exact():
 def test_zero_sigma_odometry_unchanged():
     u = Odometry(so3_exp(np.array([0, 0, 0.1])), np.array([0.1, 0, 0]),
                  np.zeros((6, 6)))
-    noisy, w = sample_noisy_odometry(u, np.zeros((6, 6)), np.random.default_rng(0))
+    w = _noise_factor(u.noise_cov) @ np.random.default_rng(0).standard_normal(6)
+    noisy = perturb_odometry(u, w)
     assert np.array_equal(noisy.rot, u.rot)
     assert np.array_equal(noisy.pos, u.pos)
     assert np.all(w == 0.0)
@@ -124,8 +125,9 @@ def test_odometry_noise_statistics():
     u = step_odometry(SimConfig())
     n = 100_000
     ws = np.empty((n, 6))
+    draws = rng.standard_normal((n, 6)) @ _noise_factor(sigma).T
     for i in range(n):
-        noisy, _ = sample_noisy_odometry(u, sigma, rng)
+        noisy = perturb_odometry(u, draws[i])
         ws[i, 0:3] = so3_log(noisy.rot @ u.rot.T)
         ws[i, 3:6] = noisy.pos - u.pos
     emp = np.cov(ws.T)
