@@ -10,8 +10,8 @@ from .ekf import INVARIANT, STANDARD, Convention, apply_std_error, propagate_mea
 from .errors import (DimensionMismatchError, DuplicateFeatureError,
                      IllConditionedInnovationError, InvalidRotationError,
                      LogDomainError, MalformedRecordError,
-                     MissingOdometryError, SingularCovarianceError,
-                     UnknownFeatureError)
+                     MissingOdometryError, RankToleranceError,
+                     SingularCovarianceError, UnknownFeatureError)
 from .gating import GateDecision, gate
 from .group import (GroupState, group_compose, group_exp, group_inverse,
                     group_log, group_minus, identity_state, pos_block,

@@ -8,16 +8,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedRecordError, MissingOdometryError
+from .errors import (MalformedRecordError, MissingOdometryError,
+                     RankToleranceError)
 from .harness import (FilterSpec, RunConfig, format_summary_table,
                       observability_experiment, replay_metrics, run_filter,
                       run_monte_carlo)
 from .lie import rot_to_quat
-from .logio import (read_jacobian_log, read_measurement_log,
-                    write_jacobian_log, write_measurement_log)
+from .logio import read_jacobian_log, read_measurement_log, write_jacobian_log
 from .observability import FILTER_KINDS, check_null_space
 from .oracles import jacobian_check_suite
-from .simulator import SimConfig, generate_world, simulate_run
+from .simulator import SimConfig
 
 
 def _positive_int(text: str) -> int:
@@ -71,18 +71,23 @@ def _cmd_simulate(args) -> int:
         noise_scale=0.0 if args.zero_noise else 1.0,
         emit_jacobian_log=args.emit_jacobian_log,
         jobs=args.jobs,
+        export_log=Path(args.export_log) if args.export_log else None,
     )
-    if args.export_log:
-        rng = np.random.default_rng(args.seed)
-        world = generate_world(cfg.sim, rng)
-        run = simulate_run(cfg.sim, world, np.random.default_rng(args.seed),
-                           cfg.noise_scale)
-        write_measurement_log(args.export_log, run.odometry, run.observations,
-                              trace=run.trace)
     summary = run_monte_carlo(cfg)
     print(format_summary_table(summary))
     diverged = sum(f["diverged_runs"] for f in summary["filters"].values())
     return 0 if diverged == 0 else 1
+
+
+def _write_poses(path, key: str, keys, rots, positions) -> None:
+    """One CSV row of key, quaternion and position per pose; every rotation
+    goes through one rot_to_quat call."""
+    poses = np.concatenate([rot_to_quat(np.reshape(rots, (-1, 3, 3))),
+                            np.reshape(positions, (-1, 3))], axis=1)
+    with open(path, "w") as fh:
+        fh.write(f"{key},qw,qx,qy,qz,x,y,z\n")
+        for k, row in zip(keys, poses.tolist()):
+            fh.write(f"{k}," + ",".join(f"{v:.12g}" for v in row) + "\n")
 
 
 def _cmd_replay(args) -> int:
@@ -104,16 +109,11 @@ def _cmd_replay(args) -> int:
     mean = result.final_state.mean
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trajectory.csv", "w") as fh:
-        fh.write("step,qw,qx,qy,qz,x,y,z\n")
-        for i, (rot, pos) in enumerate(result.trajectory):
-            q = rot_to_quat(rot)
-            fh.write(f"{i}," + ",".join(f"{v:.12g}" for v in (*q, *pos)) + "\n")
-    with open(out / "features.csv", "w") as fh:
-        fh.write("feature_id,qw,qx,qy,qz,x,y,z\n")
-        for fid, rot, pos in zip(mean.feature_ids, mean.feature_rots, mean.feature_pos):
-            q = rot_to_quat(rot)
-            fh.write(f"{fid}," + ",".join(f"{v:.12g}" for v in (*q, *pos)) + "\n")
+    _write_poses(out / "trajectory.csv", "step", range(len(result.trajectory)),
+                 [rot for rot, _ in result.trajectory],
+                 [pos for _, pos in result.trajectory])
+    _write_poses(out / "features.csv", "feature_id", mean.feature_ids,
+                 mean.feature_rots, mean.feature_pos)
     with open(out / "gates.csv", "w") as fh:
         fh.write("step,feature_id,accepted,max_margin\n")
         for step, fid, accepted, margin in result.gates:
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedRecordError, OSError) as exc:
+    except (MalformedRecordError, RankToleranceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

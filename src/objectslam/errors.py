@@ -33,5 +33,9 @@ class MalformedRecordError(ValueError):
     """A measurement-log line cannot be parsed; carries the line number."""
 
 
+class RankToleranceError(ValueError):
+    """A relative rank tolerance that would count every direction as null."""
+
+
 class MissingOdometryError(ValueError):
     """A measurement stream lacks odometry at a step and no synthesis noise was given."""

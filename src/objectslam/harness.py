@@ -20,7 +20,7 @@ from .errors import (IllConditionedInnovationError, LogDomainError,
 from .gating import gate
 from .group import GroupState
 from .lie import so3_exp, so3_log
-from .logio import ReplayStep, write_jacobian_log
+from .logio import ReplayStep, write_jacobian_log, write_measurement_log
 from .metrics import BLOCKS, collect_samples, nees, rmse, standard_error_vector
 from .observability import FILTER_KINDS, JacobianLog
 from .simulator import SimConfig, _noise_factor, generate_world, simulate_run
@@ -303,12 +303,16 @@ class RunConfig:
     noise_scale: float = 1.0
     emit_jacobian_log: bool = False
     jobs: int = 1
+    export_log: Path | None = None  # where run 0's measurement log goes
 
 
 def _mc_worker(args):
     cfg, world, run_index, capture = args
     rng = np.random.default_rng(cfg.sim.seed + run_index)
     sim = simulate_run(cfg.sim, world, rng, cfg.noise_scale)
+    if run_index == 0 and cfg.export_log is not None:
+        write_measurement_log(cfg.export_log, sim.odometry, sim.observations,
+                              trace=sim.trace)
     steps = simulated_steps(sim.odometry, sim.observations)
     n = cfg.sim.num_steps
     eval_steps = set(range(cfg.eval_stride, n + 1, cfg.eval_stride)) | {n}

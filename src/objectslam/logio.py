@@ -10,7 +10,11 @@ integers, numbers are finite JSON numbers (not strings or booleans), feature
 ids are hashable, a step holds at most one odometry record and step 0 none,
 and quaternions whose norm is within QUAT_NORM_TOL of 1 are normalized (others
 are rejected). A line that fails raises MalformedRecordError naming its line
-number. Jacobian logs are checked the same way: a JSON-object header with
+number. Keys, types, sizes, finiteness, steps, kinds and feature ids are
+checked as each line is read; the quaternion-norm and covariance PSD checks
+and the conversion to arrays run once per block of BLOCK_RECORDS lines. A
+pending block is checked before a later line's error is raised, so the error
+names the first malformed line in file order. Jacobian logs are checked the same way: a JSON-object header with
 known filter and mode tags, at least one step and, when present, an anchor of
 finite positions (robot_pos, and one feature_pos row per feature), which an
 ideal-mode standard-filter log must carry; finite entries, F and H shapes
@@ -36,15 +40,15 @@ _TRIU = np.triu_indices(6)
 QUAT_NORM_TOL = 1e-4
 # what json.loads makes of a JSON number (bool is excluded by exact type)
 _NUMBER_TYPES = frozenset((int, float))
+# measurement-log lines per vectorized check and conversion: enough to share
+# numpy's per-call cost, few enough that the pending numbers stay small
+BLOCK_RECORDS = 512
 # the modes a Jacobian-log header may carry
 _JACOBIAN_MODES = ("estimated", "ideal")
 
 
-def _pack_cov(cov: np.ndarray) -> list:
-    return [float(v) for v in np.asarray(cov)[_TRIU]]
-
-
-def _finite_vector(value, name: str, size: int, lineno: int) -> np.ndarray:
+def _finite_vector(value, name: str, size: int, lineno: int) -> list:
+    """value itself once it is a list of size finite JSON numbers."""
     # cheap Python scans: a record holds 3-21 numbers, and numpy's float
     # conversion would take "1" or true as numbers
     if type(value) is not list or len(value) != size:
@@ -59,16 +63,7 @@ def _finite_vector(value, name: str, size: int, lineno: int) -> np.ndarray:
         finite = False
     if not finite:
         raise MalformedRecordError(f"line {lineno}: {name} has non-finite entries")
-    return np.array(value, dtype=float)
-
-
-def _unpack_cov(values, lineno: int) -> np.ndarray:
-    cov = np.zeros((6, 6))
-    cov[_TRIU] = _finite_vector(values, "cov", 21, lineno)
-    cov = cov + np.triu(cov, 1).T
-    if np.linalg.eigvalsh(cov)[0] < -1e-10:
-        raise MalformedRecordError(f"line {lineno}: covariance not PSD")
-    return cov
+    return value
 
 
 def _feature_id(rec: dict, lineno: int):
@@ -79,17 +74,6 @@ def _feature_id(rec: dict, lineno: int):
         raise MalformedRecordError(
             f"line {lineno}: feature_id {fid!r} is not hashable") from None
     return fid
-
-
-def _record(step: int, kind: str, rot: np.ndarray, pos: np.ndarray,
-            cov: np.ndarray, feature_id=None) -> str:
-    rec = {"step": int(step), "kind": kind}
-    if feature_id is not None:
-        rec["feature_id"] = feature_id
-    rec["rotation"] = [float(v) for v in rot_to_quat(rot)]
-    rec["position"] = [float(v) for v in pos]
-    rec["cov"] = _pack_cov(cov)
-    return json.dumps(rec)
 
 
 def _utf8_lines(path):
@@ -118,73 +102,156 @@ def write_measurement_log(path, odometry, observations, trace=None) -> None:
     is indexed by step (0 .. N).
     """
     zero = np.zeros((6, 6))
+    records = []  # (step, kind, feature id or None, rot, pos, cov) in file order
+    for step, obs_list in enumerate(observations):
+        if step > 0 and step - 1 < len(odometry):
+            u = odometry[step - 1]
+            records.append((step, "odom", None, u.rot, u.pos, u.noise_cov))
+        if trace is not None:
+            s = trace.states[step]
+            records.append((step, "truth", None, s.robot_rot, s.robot_pos, zero))
+            records += [(step, "truth", fid, s.feature_rots[j], s.feature_pos[j], zero)
+                        for j, fid in enumerate(s.feature_ids)]
+        records += [(step, "obs", z.feature_id, z.rot, z.pos, z.noise_cov)
+                    for z in obs_list]
+    quats = rot_to_quat(np.array([r[3] for r in records], dtype=float).reshape(-1, 3, 3))
     with open(path, "w") as fh:
-        for step, obs_list in enumerate(observations):
-            if step > 0 and step - 1 < len(odometry):
-                u = odometry[step - 1]
-                fh.write(_record(step, "odom", u.rot, u.pos, u.noise_cov) + "\n")
-            if trace is not None:
-                s = trace.states[step]
-                fh.write(_record(step, "truth", s.robot_rot, s.robot_pos, zero) + "\n")
-                for j, fid in enumerate(s.feature_ids):
-                    fh.write(_record(step, "truth", s.feature_rots[j],
-                                     s.feature_pos[j], zero, feature_id=fid) + "\n")
-            for z in obs_list:
-                fh.write(_record(step, "obs", z.rot, z.pos, z.noise_cov,
-                                 feature_id=z.feature_id) + "\n")
+        for (step, kind, fid, _, pos, cov), quat in zip(records, quats):
+            rec = {"step": int(step), "kind": kind}
+            if fid is not None:
+                rec["feature_id"] = fid
+            rec["rotation"] = quat.tolist()
+            rec["position"] = np.asarray(pos, dtype=float).tolist()
+            rec["cov"] = np.asarray(cov, dtype=float)[_TRIU].tolist()
+            fh.write(json.dumps(rec) + "\n")
+
+
+class _Block:
+    """Up to BLOCK_RECORDS parsed lines whose quaternion-norm and PSD checks
+    and array conversions are pending, held as plain numbers."""
+
+    def __init__(self):
+        self.records = []  # (step, kind, feature id) of each line that passed
+        self.quat_lines, self.quats, self.positions = [], [], []
+        self.cov_lines, self.covs = [], []
+
+    def check(self) -> tuple:
+        """Rotations, positions and covariances of the block; raises for its
+        first line, in file order, whose quaternion norm or covariance fails
+        (a line's norm before its covariance, as the per-line order has it)."""
+        quats = np.array(self.quats, dtype=float).reshape(-1, 4)
+        norms = np.sqrt(np.vecdot(quats, quats))
+        covs = np.zeros((len(self.cov_lines), 6, 6))
+        covs[:, _TRIU[0], _TRIU[1]] = np.array(self.covs, dtype=float).reshape(-1, 21)
+        covs += np.triu(covs, 1).swapaxes(-1, -2)
+        faults = []
+        bad_norm = np.flatnonzero(np.abs(norms - 1.0) > QUAT_NORM_TOL)
+        if bad_norm.size:
+            i = bad_norm[0]
+            faults.append((self.quat_lines[i], 0, f"quaternion norm {norms[i]:.6g} "
+                           f"is not within {QUAT_NORM_TOL:g} of 1"))
+        if len(covs):
+            bad_cov = np.flatnonzero(np.linalg.eigvalsh(covs)[:, 0] < -1e-10)
+            if bad_cov.size:
+                faults.append((self.cov_lines[bad_cov[0]], 1, "covariance not PSD"))
+        if faults:
+            lineno, _, message = min(faults)
+            raise MalformedRecordError(f"line {lineno}: {message}") from None
+        return (quat_to_rot(quats), np.array(self.positions, dtype=float).reshape(-1, 3),
+                covs)
+
+    def add_to(self, steps: dict) -> None:
+        """Check the block and add its records to steps in file order; the
+        records' arrays are views into the block's stacks."""
+        rots, positions, covs = self.check()
+        c = 0
+        for i, (step, kind, fid) in enumerate(self.records):
+            entry = steps.get(step)
+            if entry is None:
+                entry = steps[step] = ReplayStep()
+            if kind == "odom":
+                entry.odometry = Odometry(rots[i], positions[i], covs[c])
+                c += 1
+            elif kind == "obs":
+                entry.observations.append(
+                    PoseObservation(fid, rots[i], positions[i], covs[c]))
+                c += 1
+            elif kind == "truth":
+                entry.truth_features[fid] = (rots[i], positions[i])
+            else:
+                entry.truth_robot = (rots[i], positions[i])
 
 
 def read_measurement_log(path) -> dict:
-    """Parse a measurement log into {step: ReplayStep}, validating each line."""
+    """Parse a measurement log into {step: ReplayStep}, validating each line.
+
+    Each line's JSON, keys, types, sizes, finiteness, step, kind and feature
+    id are checked as it is read; its quaternion-norm and PSD checks and its
+    array conversion run for BLOCK_RECORDS lines at a time. Before a line's
+    error is raised the pending block is checked, so the error names the
+    first malformed line.
+    """
     steps: dict[int, ReplayStep] = {}
-    for lineno, line in _utf8_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise MalformedRecordError(f"line {lineno}: {exc}") from None
-        if not isinstance(rec, dict):
-            raise MalformedRecordError(f"line {lineno}: record is not a JSON object")
-        try:
-            step, kind = rec["step"], rec["kind"]
-            quat = _finite_vector(rec["rotation"], "rotation (quaternion)", 4, lineno)
-            pos = _finite_vector(rec["position"], "position", 3, lineno)
-        except KeyError as exc:
-            raise MalformedRecordError(f"line {lineno}: missing {exc}") from None
-        # bool is an int subclass, and a float step would be truncated
-        if type(step) is not int or step < 0:
-            raise MalformedRecordError(
-                f"line {lineno}: step must be a non-negative integer, got {step!r}")
-        if kind not in _KINDS:
-            raise MalformedRecordError(f"line {lineno}: unknown kind {kind!r}")
-        if abs(np.linalg.norm(quat) - 1.0) > QUAT_NORM_TOL:
-            raise MalformedRecordError(
-                f"line {lineno}: quaternion norm {np.linalg.norm(quat):.6g} "
-                f"is not within {QUAT_NORM_TOL:g} of 1")
-        rot = quat_to_rot(quat)
-        entry = steps.setdefault(step, ReplayStep())
-        if kind == "odom":
-            cov = _unpack_cov(rec.get("cov", []), lineno)
-            # the odometry record at step s moves step s - 1 to s
-            if step == 0:
+    block = _Block()
+    odometry_steps = set()
+    try:
+        for lineno, line in _utf8_lines(path):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise MalformedRecordError(f"line {lineno}: {exc}") from None
+            if not isinstance(rec, dict):
+                raise MalformedRecordError(f"line {lineno}: record is not a JSON object")
+            try:
+                step, kind = rec["step"], rec["kind"]
+                quat = _finite_vector(rec["rotation"], "rotation (quaternion)", 4, lineno)
+                pos = _finite_vector(rec["position"], "position", 3, lineno)
+            except KeyError as exc:
+                raise MalformedRecordError(f"line {lineno}: missing {exc}") from None
+            # bool is an int subclass, and a float step would be truncated
+            if type(step) is not int or step < 0:
                 raise MalformedRecordError(
-                    f"line {lineno}: odometry record at step 0")
-            if entry.odometry is not None:
-                raise MalformedRecordError(
-                    f"line {lineno}: second odometry record at step {step}")
-            entry.odometry = Odometry(rot, pos, cov)
-        elif kind == "obs":
-            if "feature_id" not in rec:
-                raise MalformedRecordError(f"line {lineno}: obs record without feature_id")
-            cov = _unpack_cov(rec.get("cov", []), lineno)
-            entry.observations.append(
-                PoseObservation(_feature_id(rec, lineno), rot, pos, cov))
-        elif "feature_id" in rec:
-            entry.truth_features[_feature_id(rec, lineno)] = (rot, pos)
-        else:
-            entry.truth_robot = (rot, pos)
+                    f"line {lineno}: step must be a non-negative integer, got {step!r}")
+            if kind not in _KINDS:
+                raise MalformedRecordError(f"line {lineno}: unknown kind {kind!r}")
+            # the norm check of this line is pending from here on
+            block.quat_lines.append(lineno)
+            block.quats += quat
+            block.positions += pos
+            fid = None
+            if kind == "truth":
+                if "feature_id" in rec:
+                    fid = _feature_id(rec, lineno)
+                else:
+                    kind = "truth robot"
+            else:
+                if kind == "obs" and "feature_id" not in rec:
+                    raise MalformedRecordError(
+                        f"line {lineno}: obs record without feature_id")
+                block.covs += _finite_vector(rec.get("cov", []), "cov", 21, lineno)
+                block.cov_lines.append(lineno)
+                if kind == "obs":
+                    fid = _feature_id(rec, lineno)
+                # the odometry record at step s moves step s - 1 to s
+                elif step == 0:
+                    raise MalformedRecordError(
+                        f"line {lineno}: odometry record at step 0")
+                elif step in odometry_steps:
+                    raise MalformedRecordError(
+                        f"line {lineno}: second odometry record at step {step}")
+                else:
+                    odometry_steps.add(step)
+            block.records.append((step, kind, fid))
+            if len(block.records) == BLOCK_RECORDS:
+                block.add_to(steps)
+                block = _Block()
+    except MalformedRecordError:
+        block.check()  # a pending norm or PSD fault on an earlier line comes first
+        raise
+    block.add_to(steps)
     return steps
 
 

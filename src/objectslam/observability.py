@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, RankToleranceError
 from .group import pos_block, rot_block, tangent_dim
 from .lie import skew
 
@@ -87,8 +87,14 @@ def null_space(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     Only V is needed. A tall m x n matrix takes the thin SVD, whose V^T is
     already n x n, so the m x m U is never formed; a wide one (m < n) needs
     the full V^T, whose last n - m rows are null directions without a
-    singular value.
+    singular value. A tol of 1 / max(dim) or more puts the cutoff at or above
+    sigma_max, which would make every direction null: RankToleranceError.
     """
+    if tol * max(m.shape) >= 1.0:
+        raise RankToleranceError(
+            f"tol {tol:g} is too large for a {m.shape[0]} x {m.shape[1]} matrix: "
+            f"the cutoff tol * sigma_max * {max(m.shape)} would count every "
+            f"direction as unobservable (tol must be below {1.0 / max(m.shape):g})")
     _, sv, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     if sv.size == 0 or sv[0] == 0.0:
         return SubspaceBasis(np.eye(m.shape[1]), sv)

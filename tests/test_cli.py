@@ -305,3 +305,45 @@ def test_simulate_outputs_digests(tmp_path, jobs):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
                for name in SIMULATE_DIGESTS}
     assert digests == SIMULATE_DIGESTS
+
+
+# sha256 (first 16 hex digits) of the log `simulate --filter riekf --runs 2
+# --loops 1 --seed 5 --export-log` wrote when the CLI simulated run 0 a second
+# time for the export; same platform caveat as above.
+EXPORT_LOG_DIGEST = "71a39d7558c6ed6b"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_export_log_comes_from_the_monte_carlo_run(tmp_path, monkeypatch, jobs):
+    from objectslam import cli, harness
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return simulate_run(*args, **kwargs)
+
+    # the CLI once simulated the exported run itself
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "simulate_run", spy, raising=False)
+    log_path = tmp_path / "run.jsonl"
+    assert main(["simulate", "--filter", "riekf", "--runs", "2", "--loops", "1",
+                 "--seed", "5", "--jobs", jobs, "--out", str(tmp_path / "res"),
+                 "--export-log", str(log_path)]) == 0
+    digest = hashlib.sha256(log_path.read_bytes()).hexdigest()[:16]
+    assert digest == EXPORT_LOG_DIGEST
+    if jobs == "1":  # worker processes do not see the spy
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("tol", ["2", "0.05"])
+def test_observability_tol_that_nulls_every_direction_exits_2(tmp_path, capsys, tol):
+    # 10 steps of one feature: a 60 x 12 matrix, so tol * 60 >= 1
+    rc = main(["observability", "--steps", "10", "--tol", tol,
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: tol {tol} is too large for a 60 x 12 matrix")
+    assert not (tmp_path / "report.json").exists()

@@ -220,3 +220,52 @@ def test_random_rotation_valid_and_quat_roundtrip():
         q = rot_to_quat(r)
         assert abs(np.linalg.norm(q) - 1.0) < 1e-12
         assert np.allclose(quat_to_rot(q), r, atol=1e-12)
+
+
+def _half_turns(rng, n):
+    """Rotations by exactly pi about the coordinate axes and random axes."""
+    axes = np.concatenate([np.eye(3), rng.normal(size=(n, 3))])
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    return 2.0 * axes[:, :, None] * axes[:, None, :] - np.eye(3)
+
+
+def _shepperd_branch(r):
+    """The branch the one-rotation method takes: 3 for the trace, else the
+    index of the leading diagonal entry."""
+    if np.trace(r) > 0.0:
+        return 3
+    d = np.diag(r)
+    return 0 if d[0] >= d[1] and d[0] >= d[2] else (1 if d[1] >= d[2] else 2)
+
+
+def test_quaternion_maps_over_leading_axes_match_one_at_a_time_bitwise():
+    rng = np.random.default_rng(21)
+    quats = rng.normal(size=(2000, 4))
+    unit = quats / np.linalg.norm(quats, axis=1)[:, None]
+    # non-unit quaternions a log may carry: within 1e-4 of unit norm
+    near = unit * (1.0 + rng.uniform(-1e-4, 1e-4, size=(2000, 1)))
+    quats = np.concatenate([quats, near])
+    rots = quat_to_rot(quats)
+    assert rots.shape == (4000, 3, 3)
+    assert np.array_equal(rots, np.array([quat_to_rot(q) for q in quats]))
+    assert np.array_equal(quat_to_rot(quats.reshape(2, 2000, 4)),
+                          rots.reshape(2, 2000, 3, 3))
+
+    rots = np.concatenate([rots, _half_turns(rng, 50), np.eye(3)[None],
+                           np.diag([1.0, -1.0, -1.0])[None],
+                           np.diag([-1.0, 1.0, -1.0])[None],
+                           np.diag([-1.0, -1.0, 1.0])[None]])
+    assert set(map(_shepperd_branch, rots)) == {0, 1, 2, 3}
+    assert {_shepperd_branch(r) for r in rots[4000:]} == {0, 1, 2, 3}
+    q = rot_to_quat(rots)
+    assert q.shape == (len(rots), 4)
+    assert np.array_equal(q, np.array([rot_to_quat(r) for r in rots]))
+    assert np.array_equal(rot_to_quat(rots[:4000].reshape(40, 100, 3, 3)),
+                          q[:4000].reshape(40, 100, 4))
+    assert np.all(q[:, 0] >= 0.0)
+    assert np.allclose(quat_to_rot(q), rots, atol=1e-12)
+
+
+def test_zero_quaternion_in_a_stack_rejected():
+    with pytest.raises(InvalidRotationError, match="zero quaternion"):
+        quat_to_rot(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ import pytest
 from objectslam.cli import main
 from objectslam.errors import MalformedRecordError
 from objectslam.harness import observability_experiment
-from objectslam.logio import (QUAT_NORM_TOL, _matrix_line, read_jacobian_log,
-                              read_measurement_log, write_jacobian_log,
-                              write_measurement_log)
+from objectslam.logio import (BLOCK_RECORDS, QUAT_NORM_TOL, _matrix_line,
+                              read_jacobian_log, read_measurement_log,
+                              write_jacobian_log, write_measurement_log)
 from objectslam.simulator import SimConfig, generate_world, simulate_run
 
 
@@ -555,3 +557,146 @@ def test_matrix_line_formats_edge_values_like_repr():
     assert _matrix_line("H", 4, m) == _reference_matrix_line("H", 4, m)
     ints = np.arange(6).reshape(2, 3)
     assert _matrix_line("F", 0, ints) == _reference_matrix_line("F", 0, ints)
+
+
+def _stream_digest(steps):
+    """sha256 (first 16 hex digits) of every parsed rot, pos and cov, with
+    steps and feature ids, in step order."""
+    h = hashlib.sha256()
+    for step in sorted(steps):
+        entry = steps[step]
+        arrays = [a for u in [entry.odometry] if u for a in (u.rot, u.pos, u.noise_cov)]
+        for z in entry.observations:
+            h.update(repr(z.feature_id).encode())
+            arrays += [z.rot, z.pos, z.noise_cov]
+        arrays += list(entry.truth_robot or ())
+        for fid, pose in entry.truth_features.items():
+            h.update(repr(fid).encode())
+            arrays += list(pose)
+        h.update(str(step).encode())
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_two_loop_log_bytes_and_parsed_stream_digests(tmp_path):
+    # recorded when each record was written and parsed one at a time, on
+    # x86-64 with numpy 2.4 and OpenBLAS; another BLAS build may round
+    # differently. The log's 1955 lines span four parse blocks.
+    _, _, path = make_run(tmp_path, loops=2)
+    data = path.read_bytes()
+    assert len(data.splitlines()) > 3 * BLOCK_RECORDS
+    assert hashlib.sha256(data).hexdigest()[:16] == "bc2270046e6a0ffd"
+    assert _stream_digest(read_measurement_log(path)) == "15e57164c0e66984"
+
+
+def _valid_line(n, rng):
+    """Line n (from 1) of a valid log: per step an odometry record, two
+    observations and a robot truth record."""
+    step, slot = (n - 1) // 4 + 1, (n - 1) % 4
+    quat = rng.normal(size=4)
+    rec = {"step": step, "kind": ("odom", "obs", "obs", "truth")[slot],
+           "rotation": (quat / np.linalg.norm(quat)).tolist(),
+           "position": rng.normal(size=3).tolist()}
+    if slot in (1, 2):
+        rec["feature_id"] = "ab"[slot - 1]
+    if slot < 3:
+        rec["cov"] = (np.eye(6)[np.triu_indices(6)] * 1e-3).tolist()
+    return json.dumps(rec)
+
+
+# one fault each; a record at step `step`
+_FAULTS = {
+    "norm": lambda step: _obs(step=step, rotation=[1.1, 0.0, 0.0, 0.0]),
+    "psd": lambda step: _obs(step=step, cov=[-1.0] + [0.0] * 20),
+    "non-finite": lambda step: _obs(step=step, position=[0.0, float("nan"), 0.0]),
+    "kind": lambda step: _obs(step=step, kind="mystery"),
+    "second odometry": lambda step: _obs(step=1, kind="odom"),
+    "odometry at step 0": lambda step: _obs(step=0, kind="odom"),
+}
+
+
+def _log_with_faults(tmp_path, faults, lines=1100):
+    """A valid log of `lines` lines with line n replaced by faults[n]'s record."""
+    rng = np.random.default_rng(5)
+    text = [json.dumps(_FAULTS[faults[n]]((n - 1) // 4 + 1)) if n in faults
+            else _valid_line(n, rng) for n in range(1, lines + 1)]
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join(text) + "\n")
+    return path
+
+
+def _message(path):
+    with pytest.raises(MalformedRecordError) as info:
+        read_measurement_log(path)
+    return str(info.value)
+
+
+# line 1 holds the first odometry record of step 1, so no second one fits there
+@pytest.mark.parametrize("kind, lineno", [
+    (kind, lineno) for kind in sorted(_FAULTS) for lineno in (1, 511, 512, 513, 1025)
+    if (kind, lineno) != ("second odometry", 1)])
+def test_first_malformed_line_message_across_blocks(tmp_path, kind, lineno):
+    message = _message(_log_with_faults(tmp_path, {lineno: kind}))
+    # the same line alone at the same line number (blank lines before it);
+    # a second odometry record keeps the first one of its step, line 1
+    lines = [""] * (lineno - 1) + [json.dumps(_FAULTS[kind]((lineno - 1) // 4 + 1))]
+    if kind == "second odometry":
+        lines[0] = json.dumps(_obs(step=1, kind="odom"))
+    solo = tmp_path / "solo.jsonl"
+    solo.write_text("\n".join(lines) + "\n")
+    assert message == _message(solo)
+    assert message.startswith(f"line {lineno}: ")
+
+
+@pytest.mark.parametrize("first, second", [(2, 511), (513, 1000), (1025, 1100),
+                                           (511, 513), (512, 512 + BLOCK_RECORDS)])
+@pytest.mark.parametrize("block_fault", ["norm", "psd"])
+def test_earlier_block_fault_outranks_later_line_fault(tmp_path, first, second,
+                                                        block_fault):
+    # a pending norm or PSD fault is reported before a later line's error,
+    # and a line's error before a later line's pending fault
+    for faults, lineno in (({first: block_fault, second: "kind"}, first),
+                           ({first: "kind", second: block_fault}, first),
+                           ({first: block_fault, second: "psd"}, first)):
+        assert _message(_log_with_faults(tmp_path, faults)).startswith(
+            f"line {lineno}: ")
+
+
+@pytest.mark.parametrize("record, message", [
+    (_obs(kind="odom", step=0, rotation=[1.1, 0.0, 0.0, 0.0]), "quaternion norm 1.1 "),
+    (_obs(feature_id=[1], cov=[-1.0] + [0.0] * 20), "covariance not PSD"),
+    (_obs(kind="truth", feature_id=[1], rotation=[0.0, 0.0, 0.0, 0.0]),
+     "quaternion norm 0 "),
+])
+def test_line_with_a_pending_and_a_later_fault_names_the_pending_one(
+        tmp_path, record, message):
+    # the per-line order: norm, then cov, then step 0, duplicates and ids
+    path = _log_with_faults(tmp_path, {})
+    lines = path.read_text().splitlines()
+    lines[599] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert _message(path).startswith(f"line 600: {message}")
+
+
+def test_non_utf8_line_after_a_pending_block_fault(tmp_path):
+    path = _log_with_faults(tmp_path, {600: "norm"})
+    raw = path.read_bytes().split(b"\n")
+    raw[700] = b"\xff"
+    path.write_bytes(b"\n".join(raw))
+    assert _message(path).startswith("line 600: quaternion norm 1.1 ")
+
+
+def test_parse_peak_memory_stays_near_the_stream_size(tmp_path):
+    _, _, path = make_run(tmp_path, loops=6)
+    assert len(path.read_bytes().splitlines()) >= 5000
+    tracemalloc.start()
+    try:
+        steps = read_measurement_log(path)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps
+    # the pending numbers of one block are the only transient state; a
+    # whole-file columnar parse peaks near 3.9x
+    assert peak <= 1.25 * size, (peak, size)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from objectslam.errors import DimensionMismatchError
+from objectslam.errors import DimensionMismatchError, RankToleranceError
 from objectslam.group import pos_block, rot_block
 from objectslam.harness import observability_experiment
 from objectslam.lie import skew
@@ -238,3 +238,11 @@ def test_check_null_space_reads_the_gauge_from_the_log(kind, noisy, mode,
     assert report.expected_dim == expected_dim
     assert report.null_dim == expected_dim
     assert report.passed
+
+
+def test_tolerance_that_would_null_every_direction_rejected():
+    m = np.diag([4.0, 3.0, 2.0, 1.0, 1e-3])  # max dimension 5
+    with pytest.raises(RankToleranceError, match=r"tol 0.2 .* 5 x 5 matrix"):
+        null_space(m, tol=0.2)
+    # just below 1 / 5 the cutoff stays under sigma_max
+    assert null_space(m, tol=0.19).dimension == 4
