@@ -67,6 +67,8 @@ def _check_conditioning(s: np.ndarray) -> None:
     hi = float((diag + radius).max())
     if lo > 0.0 and hi / lo <= COND_LIMIT:
         return
+    if not np.isfinite(s).all():
+        raise IllConditionedInnovationError("innovation covariance is not finite")
     eig = np.linalg.eigvalsh(s)
     if eig[0] <= 0.0 or eig[-1] / eig[0] > COND_LIMIT:
         raise IllConditionedInnovationError(

@@ -25,6 +25,10 @@ class IllConditionedInnovationError(RuntimeError):
     """Innovation covariance condition number exceeds the usable bound."""
 
 
+class FilterDivergedError(RuntimeError):
+    """A filter state checked during a run is unusable; carries the cause."""
+
+
 class SingularCovarianceError(RuntimeError):
     """A covariance block required by a metric is singular."""
 

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .ekf import INVARIANT, STANDARD, Convention
-from .errors import (IllConditionedInnovationError, LogDomainError,
-                     MissingOdometryError)
+from .errors import (FilterDivergedError, IllConditionedInnovationError,
+                     LogDomainError, MissingOdometryError)
 from .gating import gate
 from .group import GroupState
 from .lie import so3_exp, so3_log
@@ -91,19 +91,21 @@ def _prediction_jacobian(conv: Convention, state: FilterState,
     return np.vstack(rows) if rows else None
 
 
-def _check_divergence(state: FilterState, truth: GroupState | None) -> str:
+def _check_divergence(state: FilterState, truth: GroupState | None) -> None:
     if not np.all(np.isfinite(state.cov)):
-        return "non-finite covariance"
+        raise FilterDivergedError("non-finite covariance")
     if np.linalg.eigvalsh(state.cov)[0] < -1e-6:
-        return "covariance not positive semidefinite"
+        raise FilterDivergedError("covariance not positive semidefinite")
+    mean = state.mean
+    if not (np.isfinite(mean.rotations).all() and np.isfinite(mean.positions).all()):
+        raise FilterDivergedError("non-finite estimate")
     if truth is not None:
-        err = standard_error_vector(truth, state.mean)
+        err = standard_error_vector(truth, mean)
         if not np.all(np.isfinite(err)):
-            return "non-finite estimation error"
+            raise FilterDivergedError("non-finite estimation error")
         if np.linalg.norm(err) > DIVERGENCE_ERROR:
-            return (f"error norm {np.linalg.norm(err):.3e} above "
-                    f"{DIVERGENCE_ERROR:g}")
-    return ""
+            raise FilterDivergedError(f"error norm {np.linalg.norm(err):.3e} "
+                                      f"above {DIVERGENCE_ERROR:g}")
 
 
 def simulated_steps(odometry: list, observations: list,
@@ -136,7 +138,8 @@ def run_filter(spec: FilterSpec, steps: dict,
     synth_noise_cov. The ideal variant and any metric sampling need
     truth_states. With jacobian_steps set, the (F, H) Jacobians of up to that
     many steps are captured, starting on the first step after the state holds
-    every feature the stream observes.
+    every feature the stream observes. A filter failure ends the run as
+    diverged, with reason "step N: cause".
     """
     conv = spec.convention
     ideal = spec.kind == "ideal"
@@ -149,9 +152,8 @@ def run_filter(spec: FilterSpec, steps: dict,
                         for z in rec.observations})
     state = initial_filter_state()
     result = RunResult(spec, state, [])
-    jac_active = False
     log_f, log_h = [], []
-    log_start = 0
+    log_start = None  # first step of the capture window, once it opens
     # running sum of the body-frame increments between recorded estimates;
     # it starts at the first increment, not at zeros, so it is the sum that
     # np.sum over all of them forms (a -0.0 component stays -0.0)
@@ -162,63 +164,54 @@ def run_filter(spec: FilterSpec, steps: dict,
         rec = steps.get(step, no_records)
         lin_prev = truth_states[step - 1] if ideal else None
         lin_here = truth_states[step] if ideal else None
-        if step > 0:
-            u = rec.odometry
-            if u is None:
-                if synth_noise_cov is None:
-                    raise MissingOdometryError(
-                        f"step {step} has no odometry record; constant-velocity "
-                        "synthesis needs an explicit noise covariance")
-                u = synthesize_constant_velocity_odometry(increment_sum, increments,
-                                                          synth_noise_cov)
-            # F entries are transitions between logged steps, so the first one
-            # is recorded only once an H entry exists
-            if jac_active and log_h and len(log_f) < len(log_h):
-                log_f.append(conv.propagation_jacobians(state, u, lin_prev)[0])
-            state = conv.propagate(state, u, lin_prev)
-        if jac_active and len(log_h) < jacobian_steps:
-            if not log_h:
-                log_start = step
-            log_h.append(_prediction_jacobian(conv, state, rec.observations,
-                                              lin_here))
+        offset = None if log_start is None else step - log_start
         try:
+            if step > 0:
+                u = rec.odometry
+                if u is None:
+                    if synth_noise_cov is None:
+                        raise MissingOdometryError(
+                            f"step {step} has no odometry record; constant-velocity "
+                            "synthesis needs an explicit noise covariance")
+                    u = synthesize_constant_velocity_odometry(
+                        increment_sum, increments, synth_noise_cov)
+                # F entries are the transitions into window offsets 1..n
+                if offset is not None and 0 < offset <= jacobian_steps:
+                    log_f.append(conv.propagation_jacobians(state, u, lin_prev)[0])
+                state = conv.propagate(state, u, lin_prev)
+            if offset is not None and offset < jacobian_steps:
+                log_h.append(_prediction_jacobian(conv, state, rec.observations,
+                                                  lin_here))
             for z in rec.observations:
                 state = _process_observation(spec, state, z, lin_here,
                                              result.gates, step)
-        except (IllConditionedInnovationError, LogDomainError) as exc:
+            if log_start is None and jacobian_steps is not None \
+                    and state.mean.num_features == observed:
+                log_start = step + 1
+            if synth_noise_cov is not None and result.trajectory:
+                prev_rot, prev_pos = result.trajectory[-1]
+                delta = prev_rot.T @ (state.mean.robot_pos - prev_pos)
+                increment_sum = delta if increments == 0 else increment_sum + delta
+                increments += 1
+            result.trajectory.append((state.mean.robot_rot, state.mean.robot_pos))
+            if step in eval_steps or step == num_steps:
+                _check_divergence(state, truth_states[step]
+                                  if truth_states else None)
+            if step in eval_steps:
+                result.metric_samples[step] = collect_samples(
+                    truth_states[step], state, conv)
+        except (IllConditionedInnovationError, LogDomainError,
+                FilterDivergedError) as exc:
             result.diverged = True
             result.reason = f"step {step}: {exc}"
             break
-        if jacobian_steps is not None and not jac_active \
-                and state.mean.num_features == observed:
-            jac_active = True
-        if synth_noise_cov is not None and result.trajectory:
-            prev_rot, prev_pos = result.trajectory[-1]
-            delta = prev_rot.T @ (state.mean.robot_pos - prev_pos)
-            increment_sum = delta if increments == 0 else increment_sum + delta
-            increments += 1
-        result.trajectory.append((state.mean.robot_rot, state.mean.robot_pos))
-        if step in eval_steps or step == num_steps:
-            reason = _check_divergence(state, truth_states[step]
-                                       if truth_states else None)
-            if reason:
-                result.diverged = True
-                result.reason = f"step {step}: {reason}"
-                break
-        if step in eval_steps:
-            try:
-                result.metric_samples[step] = collect_samples(
-                    truth_states[step], state, conv)
-            except LogDomainError as exc:
-                result.diverged = True
-                result.reason = f"step {step}: {exc}"
-                break
     result.final_state = state
     if jacobian_steps is not None:
         mode = "ideal" if ideal else "estimated"
-        log = JacobianLog(spec.kind, mode, observed, start_step=log_start)
-        while log_h and len(log_f) < len(log_h):
-            log_f.append(np.eye(log.state_dim))
+        log = JacobianLog(spec.kind, mode, observed,
+                          start_step=log_start if log_h else 0)
+        # a run that ended inside the window has no F out of its last step
+        log_f += [np.eye(log.state_dim) for _ in range(len(log_h) - len(log_f))]
         for f, h in zip(log_f, log_h):
             log.append(f, h)
         result.jacobian_log = log
@@ -307,21 +300,20 @@ class RunConfig:
 
 
 def _mc_worker(args):
-    cfg, world, run_index, capture = args
+    cfg, world, run_index, capture, eval_steps = args
     rng = np.random.default_rng(cfg.sim.seed + run_index)
     sim = simulate_run(cfg.sim, world, rng, cfg.noise_scale)
     if run_index == 0 and cfg.export_log is not None:
         write_measurement_log(cfg.export_log, sim.odometry, sim.observations,
                               trace=sim.trace)
     steps = simulated_steps(sim.odometry, sim.observations)
-    n = cfg.sim.num_steps
-    eval_steps = set(range(cfg.eval_stride, n + 1, cfg.eval_stride)) | {n}
     out = {}
     for spec in cfg.filters:
         out[spec.name] = run_filter(
-            spec, steps, sim.trace.states,
-            eval_steps=eval_steps,
+            spec, steps, sim.trace.states, eval_steps=eval_steps,
             jacobian_steps=200 if capture and spec.kind != "ideal" else None)
+        # aggregation never reads the poses, so no run holds or pickles them
+        out[spec.name].trajectory = []
     return run_index, out
 
 
@@ -332,7 +324,9 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
     Returns the summary dict; writes CSV/JSON/text outputs when out_dir is set.
     """
     world = generate_world(cfg.sim, np.random.default_rng(cfg.sim.seed))
-    work = [(cfg, world, i, cfg.emit_jacobian_log and i == 0)
+    n = cfg.sim.num_steps
+    eval_steps = set(range(cfg.eval_stride, n + 1, cfg.eval_stride)) | {n}
+    work = [(cfg, world, i, cfg.emit_jacobian_log and i == 0, eval_steps)
             for i in range(cfg.runs)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -340,8 +334,6 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
     else:
         results = [_mc_worker(w) for w in work]
 
-    n = cfg.sim.num_steps
-    eval_steps = sorted(set(range(cfg.eval_stride, n + 1, cfg.eval_stride)) | {n})
     summary = {"seed": cfg.sim.seed, "runs": cfg.runs, "num_steps": n, "filters": {}}
     per_filter_rows = {}
     jac_logs = {}
@@ -350,7 +342,7 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
         diverged = [i for i, out in results if out[name].diverged]
         kept = [out[name] for _, out in results if not out[name].diverged]
         rows = []
-        for step in eval_steps:
+        for step in sorted(eval_steps):
             samples = [res.metric_samples[step] for res in kept
                        if step in res.metric_samples]
             if not samples:

@@ -59,6 +59,7 @@ def consistency_experiment():
     return {"finals": finals, "elapsed_pair": elapsed, "diverged": diverged}
 
 
+@pytest.mark.slow
 def test_criterion_1_consistency_reproduction(consistency_experiment):
     finals = consistency_experiment["finals"]
     elapsed = consistency_experiment["elapsed_pair"]
@@ -76,6 +77,7 @@ def test_criterion_1_consistency_reproduction(consistency_experiment):
     report(1, ok and elapsed < 300.0, detail)
 
 
+@pytest.mark.slow
 def test_criterion_2_rmse_ordering(consistency_experiment):
     finals = consistency_experiment["finals"]
     violations = []

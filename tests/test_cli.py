@@ -7,7 +7,7 @@ import pytest
 from objectslam.cli import main
 from objectslam.logio import read_measurement_log, write_measurement_log
 from objectslam.simulator import SimConfig, generate_world, simulate_run
-from objectslam.types import PoseObservation
+from objectslam.types import Odometry, PoseObservation
 
 
 def test_check_jacobians_command(capsys):
@@ -216,6 +216,47 @@ def test_replay_divergence_names_its_cause(tmp_path, capsys):
     assert "replayed 40 steps" in captured.out
     assert "step 40" in captured.err
     assert "condition number" in captured.err
+
+
+
+def _overflowing_log(path, case):
+    """A valid two-feature log with one record whose finite values overflow
+    the filter: a huge odometry translation at step 10, or a huge observed
+    position at the last step."""
+    cfg = SimConfig(num_features=2, loops=1, seed=3)
+    world = generate_world(cfg, np.random.default_rng(3))
+    run = simulate_run(cfg, world, np.random.default_rng(4))
+    odometry, obs = list(run.odometry), [list(o) for o in run.observations]
+    if case == "odometry":
+        u = odometry[9]
+        odometry[9] = Odometry(u.rot, np.array([1e308, 0.0, 0.0]), u.noise_cov)
+    else:
+        z = obs[-1][0]
+        obs[-1][0] = PoseObservation(z.feature_id, z.rot,
+                                     np.array([1e308, -1e308, 1e308]), z.noise_cov)
+    write_measurement_log(path, odometry, obs)
+
+
+@pytest.mark.parametrize("case, steps, cause", [
+    ("odometry", 10, "step 10: innovation covariance is not finite"),
+    ("observation", 81, "step 80: non-finite estimate"),
+], ids=["odometry", "observation"])
+@pytest.mark.parametrize("filt", ["riekf", "stdekf"])
+def test_overflowing_log_is_a_diverged_replay(tmp_path, capsys, filt, case,
+                                              steps, cause):
+    log_path = tmp_path / "overflow.jsonl"
+    _overflowing_log(log_path, case)
+    out = tmp_path / "out"
+    # the overflow is the point of the input, so its warnings are not errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["replay", "--log", str(log_path), "--filter", filt,
+                   "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"replayed {steps} steps" in captured.out
+    assert captured.err == f"filter diverged: {cause}\n"
+    for name in ("trajectory.csv", "features.csv", "gates.csv"):
+        assert (out / name).exists()
 
 
 @pytest.mark.parametrize("flag, content, message", [

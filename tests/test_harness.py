@@ -5,13 +5,15 @@ import pytest
 
 from objectslam import harness
 from objectslam.group import GroupState
-from objectslam.errors import MissingOdometryError, SingularCovarianceError
+from objectslam.errors import (LogDomainError, MissingOdometryError,
+                               SingularCovarianceError)
 from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
                                 replay_metrics, run_filter,
                                 run_monte_carlo, simulated_steps,
                                 synthesize_constant_velocity_odometry)
 from objectslam.lie import random_rotation
-from objectslam.logio import read_measurement_log, write_measurement_log
+from objectslam.logio import (read_measurement_log, write_jacobian_log,
+                              write_measurement_log)
 from objectslam.metrics import standard_error_vector
 from objectslam.observability import check_null_space
 from objectslam.oracles import jacobian_check_suite
@@ -375,6 +377,16 @@ def test_worker_pool_matches_sequential(tmp_path):
     assert s1 == s2
 
 
+def test_monte_carlo_worker_results_carry_no_trajectory():
+    cfg = RunConfig(sim=SimConfig(loops=1, seed=24), runs=1, eval_stride=40)
+    world = generate_world(cfg.sim, np.random.default_rng(cfg.sim.seed))
+    index, out = harness._mc_worker((cfg, world, 0, True, {40, 80}))
+    assert index == 0 and set(out) == {"riekf", "stdekf", "ideal"}
+    for result in out.values():
+        assert result.trajectory == []
+        assert not result.diverged and result.metric_samples
+
+
 def test_zero_noise_monte_carlo_errors_vanish():
     cfg = RunConfig(sim=SimConfig(loops=1, seed=23), runs=1,
                     filters=(FilterSpec("riekf"),), noise_scale=0.0,
@@ -414,3 +426,83 @@ def test_jacobian_capture_waits_for_the_observed_features_only():
         assert log.start_step == full_at + 1
         assert len(log.F) == len(log.H) == 20
         assert check_null_space(log).passed
+
+
+def late_feature_run():
+    """Seed-5 central world whose third feature is first seen at step 10, so
+    the state holds every observed feature from step 10 and the capture
+    window opens at step 11."""
+    cfg = SimConfig(num_features=3, loops=1, seed=5, placement="central")
+    world = generate_world(cfg, np.random.default_rng(5))
+    run = simulate_run(cfg, world, np.random.default_rng(5))
+    late = world.feature_ids[2]
+    obs = [[z for z in o if step >= 10 or z.feature_id != late]
+           for step, o in enumerate(run.observations)]
+    assert all(len(o) == 3 for o in obs[10:])
+    return run, obs
+
+
+# (diverged, reason, len(trajectory)) and the sha256 of the written Jacobian
+# log of each way a capture window can end early, recorded before run_filter
+# had one failure path; same platform caveat as LIST_INPUT_DIGESTS.
+CAPTURE_END_PINS = {
+    ("riekf", "diverges-in-window"): (
+        True, "step 16: innovation covariance condition number 9.924e+19", 16,
+        "d90f1f671c26bb60d785f262f386020a7df5ea260a62fc8f24cde8656af3eae2"),
+    ("stdekf", "diverges-in-window"): (
+        True, "step 16: innovation covariance condition number 9.926e+19", 16,
+        "6feb1d565416c05a1c710281ed0df9404c331e8fc35c9ff2e4e53ce0aefcf24e"),
+    ("riekf", "stream-ends-in-window"): (
+        False, "", 21,
+        "8aa8a1f6c700f3577edd7aba96d0fdb0b9896ad5e49076a03c1cc71c6a860858"),
+    ("stdekf", "stream-ends-in-window"): (
+        False, "", 21,
+        "8bc5db338fa842edd0d923717a7e6ff1c6e1fb2ed09091d84bed671c1fcffddf"),
+    ("riekf", "stream-ends-on-activation"): (
+        False, "", 11,
+        "da3ec8177e04ca749b6ce4ed98c81b22247c14d370338f983c2983cfb22f6801"),
+    ("stdekf", "stream-ends-on-activation"): (
+        False, "", 11,
+        "022786e1372194fc4eb64e45eee9d8f8d9547712940380b904881949e2eb051f"),
+    ("riekf", "metric-fails-in-window"): (
+        True, "step 15: rotation angle at pi", 16,
+        "f36e0c9786f10d2f47ddec033036a2ca6b460122990d95c8a6b013b58ff0ace5"),
+    ("stdekf", "metric-fails-in-window"): (
+        True, "step 15: rotation angle at pi", 16,
+        "42522ebdbafe2d25b37b1b4269d8f20ba4d67508ffccd3ce500ba7a95d2bc225"),
+}
+
+
+@pytest.mark.parametrize("kind, case", sorted(CAPTURE_END_PINS),
+                         ids=[f"{k}-{c}" for k, c in sorted(CAPTURE_END_PINS)])
+def test_capture_window_ends_as_pinned(tmp_path, monkeypatch, kind, case):
+    run, obs = late_feature_run()
+    eval_steps = frozenset()
+    if case == "diverges-in-window":
+        bad = np.diag([1e20] + [1.0] * 5)
+        obs[16] = [PoseObservation(z.feature_id, z.rot, z.pos, bad)
+                   for z in obs[16]]
+    elif case == "stream-ends-in-window":
+        obs = obs[:21]
+    elif case == "stream-ends-on-activation":
+        obs = obs[:11]
+    else:
+        def failing_sample(truth, state, conv):
+            raise LogDomainError("rotation angle at pi")
+        monkeypatch.setattr(harness, "collect_samples", failing_sample)
+        eval_steps = frozenset({15})
+    res = run_filter(FilterSpec(kind),
+                     simulated_steps(run.odometry[:len(obs) - 1], obs),
+                     run.trace.states, eval_steps=eval_steps, jacobian_steps=20)
+    log = res.jacobian_log
+    path = tmp_path / "jacobians.txt"
+    write_jacobian_log(path, log)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (res.diverged, res.reason, len(res.trajectory), digest) == \
+        CAPTURE_END_PINS[kind, case]
+    if case == "stream-ends-on-activation":
+        assert log.start_step == 0 and log.F == log.H == []
+    else:
+        # the window opened on step 11; its last F has no successor step
+        assert log.start_step == 11 and len(log.F) == len(log.H) > 0
+        assert np.array_equal(log.F[-1], np.eye(log.state_dim))

@@ -216,6 +216,20 @@ def test_update_rejects_ill_conditioned_innovation():
         INVARIANT.update(state, z)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_update_rejects_non_finite_innovation_covariance(entry):
+    # an overflowed covariance entry makes S non-finite; eigvalsh cannot take it
+    rng = np.random.default_rng(13)
+    mean = random_filter_state(rng, k=1).mean
+    cov = np.eye(12)
+    cov[3, 3] = entry
+    z = exact_observation(mean, "f0", np.eye(6))
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(IllConditionedInnovationError,
+                          match="innovation covariance is not finite"):
+        INVARIANT.update(FilterState(mean, cov), z)
+
+
 def test_innovation_unknown_feature_raises():
     rng = np.random.default_rng(14)
     state = random_filter_state(rng, k=1)
