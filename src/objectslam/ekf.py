@@ -8,14 +8,15 @@ block to F, H and the augmentation map A. Jacobians can be linearized at
 another state than the estimate (the ideal variant passes ground truth).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import (DuplicateFeatureError, IllConditionedInnovationError,
-                     UnknownFeatureError)
+from .errors import (DuplicateFeatureError, FilterDivergedError,
+                     IllConditionedInnovationError, UnknownFeatureError)
 from .group import (GroupState, group_compose, group_exp, pos_block, rot_block,
                     split_tangent, tangent_dim)
 from .lie import batch_so3_exp, project_to_so3, skew, so3_log
@@ -200,11 +201,16 @@ class Convention:
         buffer, then one in-place subtraction, so the input covariance is
         left untouched. K H P is symmetric up to rounding and is not
         symmetrized here; propagate and initialize_feature symmetrize once
-        per step.
+        per step. A K y whose squared norm overflows (an overflowing
+        observation) raises FilterDivergedError before the retraction could
+        make the estimate non-finite, and the input state stays as it was.
         """
         _check_conditioning(inn.S)
         gain = inn.HP.T @ np.linalg.inv(inn.S)
-        mean = self.retract(state.mean, gain @ inn.y)
+        correction = gain @ inn.y
+        if not math.isfinite(correction @ correction):
+            raise FilterDivergedError("non-finite estimate")
+        mean = self.retract(state.mean, correction)
         cov = gain @ inn.HP
         np.subtract(state.cov, cov, out=cov)
         return FilterState(mean, cov)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ekf import INVARIANT, STANDARD, Convention
+from .ekf import Convention
 from .errors import (FilterDivergedError, IllConditionedInnovationError,
                      LogDomainError, MissingOdometryError)
 from .gating import gate
@@ -22,7 +22,7 @@ from .group import GroupState
 from .lie import so3_exp, so3_log
 from .logio import ReplayStep, write_jacobian_log, write_measurement_log
 from .metrics import BLOCKS, collect_samples, nees, rmse, standard_error_vector
-from .observability import FILTER_KINDS, JacobianLog
+from .observability import FILTERS, JacobianLog
 from .simulator import SimConfig, _noise_factor, generate_world, simulate_run
 from .types import FilterState, Odometry, PoseObservation, initial_filter_state
 
@@ -36,7 +36,7 @@ class FilterSpec:
     robust: bool = False
 
     def __post_init__(self):
-        if self.kind not in FILTER_KINDS:
+        if self.kind not in FILTERS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
 
     @property
@@ -45,7 +45,11 @@ class FilterSpec:
 
     @property
     def convention(self) -> Convention:
-        return INVARIANT if self.kind == "riekf" else STANDARD
+        return FILTERS[self.kind][0]
+
+    @property
+    def at_truth(self) -> bool:
+        return FILTERS[self.kind][1]
 
 
 @dataclass
@@ -141,9 +145,8 @@ def run_filter(spec: FilterSpec, steps: dict,
     every feature the stream observes. A filter failure ends the run as
     diverged, with reason "step N: cause".
     """
-    conv = spec.convention
-    ideal = spec.kind == "ideal"
-    if ideal and truth_states is None:
+    conv, at_truth = spec.convention, spec.at_truth
+    if at_truth and truth_states is None:
         raise ValueError("ideal filter needs ground-truth states")
     if eval_steps and truth_states is None:
         raise ValueError("metric sampling needs ground-truth states")
@@ -160,54 +163,57 @@ def run_filter(spec: FilterSpec, steps: dict,
     increment_sum, increments = np.zeros(3), 0
     no_records = ReplayStep()
     num_steps = max(steps, default=-1)
-    for step in range(num_steps + 1):
-        rec = steps.get(step, no_records)
-        lin_prev = truth_states[step - 1] if ideal else None
-        lin_here = truth_states[step] if ideal else None
-        offset = None if log_start is None else step - log_start
-        try:
-            if step > 0:
-                u = rec.odometry
-                if u is None:
-                    if synth_noise_cov is None:
-                        raise MissingOdometryError(
-                            f"step {step} has no odometry record; constant-velocity "
-                            "synthesis needs an explicit noise covariance")
-                    u = synthesize_constant_velocity_odometry(
-                        increment_sum, increments, synth_noise_cov)
-                # F entries are the transitions into window offsets 1..n
-                if offset is not None and 0 < offset <= jacobian_steps:
-                    log_f.append(conv.propagation_jacobians(state, u, lin_prev)[0])
-                state = conv.propagate(state, u, lin_prev)
-            if offset is not None and offset < jacobian_steps:
-                log_h.append(_prediction_jacobian(conv, state, rec.observations,
-                                                  lin_here))
-            for z in rec.observations:
-                state = _process_observation(spec, state, z, lin_here,
-                                             result.gates, step)
-            if log_start is None and jacobian_steps is not None \
-                    and state.mean.num_features == observed:
-                log_start = step + 1
-            if synth_noise_cov is not None and result.trajectory:
-                prev_rot, prev_pos = result.trajectory[-1]
-                delta = prev_rot.T @ (state.mean.robot_pos - prev_pos)
-                increment_sum = delta if increments == 0 else increment_sum + delta
-                increments += 1
-            result.trajectory.append((state.mean.robot_rot, state.mean.robot_pos))
-            if step in eval_steps or step == num_steps:
-                _check_divergence(state, truth_states[step]
-                                  if truth_states else None)
-            if step in eval_steps:
-                result.metric_samples[step] = collect_samples(
-                    truth_states[step], state, conv)
-        except (IllConditionedInnovationError, LogDomainError,
-                FilterDivergedError) as exc:
-            result.diverged = True
-            result.reason = f"step {step}: {exc}"
-            break
+    # an overflow becomes a diverged run with its cause (below), so numpy's
+    # own warnings about it would only repeat that cause
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(num_steps + 1):
+            rec = steps.get(step, no_records)
+            lin_prev = truth_states[step - 1] if at_truth else None
+            lin_here = truth_states[step] if at_truth else None
+            offset = None if log_start is None else step - log_start
+            try:
+                if step > 0:
+                    u = rec.odometry
+                    if u is None:
+                        if synth_noise_cov is None:
+                            raise MissingOdometryError(
+                                f"step {step} has no odometry record; constant-velocity "
+                                "synthesis needs an explicit noise covariance")
+                        u = synthesize_constant_velocity_odometry(
+                            increment_sum, increments, synth_noise_cov)
+                    # F entries are the transitions into window offsets 1..n
+                    if offset is not None and 0 < offset <= jacobian_steps:
+                        log_f.append(conv.propagation_jacobians(state, u, lin_prev)[0])
+                    state = conv.propagate(state, u, lin_prev)
+                if offset is not None and offset < jacobian_steps:
+                    log_h.append(_prediction_jacobian(conv, state, rec.observations,
+                                                      lin_here))
+                for z in rec.observations:
+                    state = _process_observation(spec, state, z, lin_here,
+                                                 result.gates, step)
+                if log_start is None and jacobian_steps is not None \
+                        and state.mean.num_features == observed:
+                    log_start = step + 1
+                if synth_noise_cov is not None and result.trajectory:
+                    prev_rot, prev_pos = result.trajectory[-1]
+                    delta = prev_rot.T @ (state.mean.robot_pos - prev_pos)
+                    increment_sum = delta if increments == 0 else increment_sum + delta
+                    increments += 1
+                result.trajectory.append((state.mean.robot_rot, state.mean.robot_pos))
+                if step in eval_steps or step == num_steps:
+                    _check_divergence(state, truth_states[step]
+                                      if truth_states else None)
+                if step in eval_steps:
+                    result.metric_samples[step] = collect_samples(
+                        truth_states[step], state, conv)
+            except (IllConditionedInnovationError, LogDomainError,
+                    FilterDivergedError) as exc:
+                result.diverged = True
+                result.reason = f"step {step}: {exc}"
+                break
     result.final_state = state
     if jacobian_steps is not None:
-        mode = "ideal" if ideal else "estimated"
+        mode = "ideal" if at_truth else "estimated"
         log = JacobianLog(spec.kind, mode, observed,
                           start_step=log_start if log_h else 0)
         # a run that ended inside the window has no F out of its last step
@@ -311,7 +317,7 @@ def _mc_worker(args):
     for spec in cfg.filters:
         out[spec.name] = run_filter(
             spec, steps, sim.trace.states, eval_steps=eval_steps,
-            jacobian_steps=200 if capture and spec.kind != "ideal" else None)
+            jacobian_steps=200 if capture and not spec.at_truth else None)
         # aggregation never reads the poses, so no run holds or pickles them
         out[spec.name].trajectory = []
     return run_index, out

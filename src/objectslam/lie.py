@@ -193,24 +193,15 @@ def batch_so3_log(rots: np.ndarray, validate: bool = False) -> np.ndarray:
 
 def _log_via_quaternion(m: np.ndarray) -> np.ndarray:
     """The log's quaternion regime over (n, 3, 3) rotations of trace <= -0.9:
-    Shepperd's method from the largest diagonal entry (the trace one never
-    wins there); exactly at pi, the axis's largest-magnitude component is
-    made positive."""
-    n = np.arange(m.shape[0])
-    i = np.argmax(np.diagonal(m, axis1=-2, axis2=-1), axis=-1)
-    j, k = (i + 1) % 3, (i + 2) % 3
-    s = np.sqrt(1.0 + m[n, i, i] - m[n, j, j] - m[n, k, k]) * 2.0
-    q = np.empty((m.shape[0], 4))
-    q[:, 0] = (m[n, k, j] - m[n, j, k]) / s
-    q[n, 1 + i] = 0.25 * s
-    q[n, 1 + j] = (m[n, i, j] + m[n, j, i]) / s
-    q[n, 1 + k] = (m[n, i, k] + m[n, k, i]) / s
-    q[q[:, 0] < 0.0] *= -1.0
+    angle and axis of rot_to_quat's quaternion; exactly at pi, the axis's
+    largest-magnitude component is made positive."""
+    q = rot_to_quat(m)
     w, vec = q[:, 0], q[:, 1:]
     norm = np.sqrt((vec * vec).sum(axis=-1))
     axis = vec / norm[:, None]
     at_pi = w < 1e-9
     # exactly at pi both signs represent the same rotation
+    n = np.arange(len(q))
     flip = at_pi & (axis[n, np.argmax(np.abs(axis), axis=-1)] < 0.0)
     axis[flip] *= -1.0
     return np.where(at_pi, np.pi, 2.0 * np.arctan2(norm, w))[:, None] * axis

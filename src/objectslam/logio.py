@@ -14,12 +14,12 @@ number. Keys, types, sizes, finiteness, steps, kinds and feature ids are
 checked as each line is read; the quaternion-norm and covariance PSD checks
 and the conversion to arrays run once per block of BLOCK_RECORDS lines. A
 pending block is checked before a later line's error is raised, so the error
-names the first malformed line in file order. Jacobian logs are checked the same way: a JSON-object header with
-known filter and mode tags, at least one step and, when present, an anchor of
-finite positions (robot_pos, and one feature_pos row per feature), which an
-ideal-mode standard-filter log must carry; finite entries, F and H shapes
-that match the header's state dimension, steps in the header's range, an F
-for every step and an H for some (what is missing names the header line).
+names the first malformed line in file order. Jacobian logs are checked the
+same way: a JSON-object header whose filter, mode and anchor
+observability.gauge_basis accepts, at least one step, an anchor of finite
+positions if any (robot_pos, one feature_pos row per feature); finite
+entries, F and H shapes that fit the header's state dimension, steps in its
+range, an F for every step and an H for some (a missing one names line 1).
 """
 
 import json
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import MalformedRecordError
 from .lie import quat_to_rot, rot_to_quat
-from .observability import FILTER_KINDS, JacobianLog
+from .observability import FILTER_KINDS, JacobianLog, gauge_basis
 from .types import Odometry, PoseObservation
 
 _KINDS = ("odom", "obs", "truth")
@@ -295,10 +295,6 @@ def read_jacobian_log(path) -> JacobianLog:
         anchor = header.get("anchor")
         if anchor is not None and not isinstance(anchor, dict):
             raise ValueError(f"anchor {anchor!r} is not a JSON object")
-        if anchor is None and header["filter"] != "riekf" \
-                and header["mode"] == "ideal":
-            raise ValueError("an ideal-mode standard-filter log needs an anchor "
-                             "(its gauge basis sits at the true positions)")
         log = JacobianLog(header["filter"], header["mode"], counts["num_features"],
                           start_step=counts["start_step"], anchor=anchor)
         steps = counts["steps"]
@@ -313,6 +309,10 @@ def read_jacobian_log(path) -> JacobianLog:
                 f"line 1: anchor feature_pos needs {log.num_features} rows of 3")
         for row in rows:
             _finite_vector(row, "anchor feature_pos row", 3, 1)
+    try:
+        gauge_basis(log)
+    except ValueError as exc:
+        raise MalformedRecordError(f"line 1: bad jacobian-log header: {exc}") from None
     fs: dict[int, np.ndarray] = {}
     hs: dict[int, np.ndarray] = {}
     for lineno, line in lines:

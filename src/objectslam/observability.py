@@ -11,13 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ekf import INVARIANT, STANDARD
 from .errors import DimensionMismatchError, RankToleranceError
 from .group import pos_block, rot_block, tangent_dim
 from .lie import skew
 
 DEFAULT_RANK_TOL = 1e-8
-# the filters a run, a Jacobian log and the CLI can name
-FILTER_KINDS = ("riekf", "stdekf", "ideal")
+# every filter name: (error convention, Jacobians taken at ground truth?)
+FILTERS = {"riekf": (INVARIANT, False), "stdekf": (STANDARD, False),
+           "ideal": (STANDARD, True)}
+FILTER_KINDS = tuple(FILTERS)
 
 
 @dataclass
@@ -183,15 +186,20 @@ class ObservabilityReport:
 
 def gauge_basis(log: JacobianLog) -> np.ndarray:
     """The unobservable directions the log's filter should keep: 6 for the
-    invariant filter whatever its linearization, 6 for the standard filter
+    invariant convention whatever its linearization, 6 for the standard one
     linearized at truth (anchored at the log's true positions), 3 (global
-    translation) for the standard filter linearized at its estimates."""
-    if log.filter_name == "riekf":
+    translation) for the standard one linearized at its estimates. A filter
+    taken at truth cannot have an estimated-mode log."""
+    convention, at_truth = FILTERS[log.filter_name]
+    if at_truth and log.mode == "estimated":
+        raise ValueError(f"filter {log.filter_name!r} is linearized at truth, "
+                         "so its log cannot have mode 'estimated'")
+    if convention is INVARIANT:
         return invariant_gauge_basis(log.num_features)
     if log.mode == "estimated":
         return std_estimated_gauge_basis(log.num_features)
     if log.anchor is None:
-        raise ValueError("ideal-mode check needs the true anchor positions")
+        raise ValueError("an ideal-mode standard-filter log needs an anchor")
     return std_ideal_gauge_basis(np.asarray(log.anchor["robot_pos"], dtype=float),
                                  np.asarray(log.anchor["feature_pos"], dtype=float))
 

@@ -222,7 +222,8 @@ def test_replay_divergence_names_its_cause(tmp_path, capsys):
 def _overflowing_log(path, case):
     """A valid two-feature log with one record whose finite values overflow
     the filter: a huge odometry translation at step 10, or a huge observed
-    position at the last step."""
+    position in the first observation at step 40 or later, or at the last
+    step."""
     cfg = SimConfig(num_features=2, loops=1, seed=3)
     world = generate_world(cfg, np.random.default_rng(3))
     run = simulate_run(cfg, world, np.random.default_rng(4))
@@ -231,32 +232,36 @@ def _overflowing_log(path, case):
         u = odometry[9]
         odometry[9] = Odometry(u.rot, np.array([1e308, 0.0, 0.0]), u.noise_cov)
     else:
-        z = obs[-1][0]
-        obs[-1][0] = PoseObservation(z.feature_id, z.rot,
+        at = -1 if case == "observation" else next(
+            step for step in range(40, len(obs)) if obs[step])
+        z = obs[at][0]
+        obs[at][0] = PoseObservation(z.feature_id, z.rot,
                                      np.array([1e308, -1e308, 1e308]), z.noise_cov)
     write_measurement_log(path, odometry, obs)
 
 
 @pytest.mark.parametrize("case, steps, cause", [
     ("odometry", 10, "step 10: innovation covariance is not finite"),
-    ("observation", 81, "step 80: non-finite estimate"),
-], ids=["odometry", "observation"])
+    ("mid-observation", 40, "step 40: non-finite estimate"),
+    ("observation", 80, "step 80: non-finite estimate"),
+], ids=["odometry", "mid-observation", "observation"])
 @pytest.mark.parametrize("filt", ["riekf", "stdekf"])
 def test_overflowing_log_is_a_diverged_replay(tmp_path, capsys, filt, case,
                                               steps, cause):
     log_path = tmp_path / "overflow.jsonl"
     _overflowing_log(log_path, case)
     out = tmp_path / "out"
-    # the overflow is the point of the input, so its warnings are not errors
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["replay", "--log", str(log_path), "--filter", filt,
-                   "--out", str(out)])
+    rc = main(["replay", "--log", str(log_path), "--filter", filt,
+               "--out", str(out)])
     assert rc == 1
     captured = capsys.readouterr()
     assert f"replayed {steps} steps" in captured.out
     assert captured.err == f"filter diverged: {cause}\n"
     for name in ("trajectory.csv", "features.csv", "gates.csv"):
         assert (out / name).exists()
+    # the run stops at the last finite estimate
+    for name in ("trajectory.csv", "features.csv"):
+        assert "nan" not in (out / name).read_text()
 
 
 @pytest.mark.parametrize("flag, content, message", [

@@ -432,6 +432,10 @@ def _edit_header(path, lines, **changes):
     ({"filter": 3}, "bad jacobian-log header: filter 3"),
     ({"mode": "noisy"}, "bad jacobian-log header: mode 'noisy'"),
     ({"mode": None}, "bad jacobian-log header: mode None"),
+    # the ideal filter is linearized at truth, so an estimated-mode log of it
+    # would be checked against the wrong gauge basis
+    ({"mode": "estimated"},
+     "bad jacobian-log header: filter 'ideal' is linearized at truth"),
 ])
 def test_jacobian_log_header_tags_and_anchor_validated(tmp_path, changes, message):
     path, lines = _ideal_log_lines(tmp_path)
