@@ -27,8 +27,7 @@ from .observability import (JacobianLog, ObservabilityReport, SubspaceBasis,
                             null_space)
 from .oracles import jacobian_check_suite
 from .simulator import (GroundTruthTrace, SimConfig, generate_trajectory,
-                        generate_world, sample_observations, simulate_run,
-                        step_odometry)
+                        generate_world, simulate_run, step_odometry)
 from .types import FilterState, Innovation, Odometry, PoseObservation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,7 +19,7 @@ from .errors import (DuplicateFeatureError, FilterDivergedError,
                      IllConditionedInnovationError, UnknownFeatureError)
 from .group import (GroupState, group_compose, group_exp, pos_block, rot_block,
                     split_tangent, tangent_dim)
-from .lie import batch_so3_exp, project_to_so3, skew, so3_log
+from .lie import project_to_so3, skew, so3_exp, so3_log
 from .metrics import invariant_error_vector, standard_error_vector
 from .types import FilterState, Innovation, Odometry, PoseObservation, symmetrize
 
@@ -49,7 +49,7 @@ def apply_std_error(mean: GroupState, eta: np.ndarray) -> GroupState:
     """Perturb a state by (..., d) per-block error vectors (left rotation,
     additive position)."""
     rot_vecs, pos_vecs = split_tangent(eta, mean.num_features)
-    exps = batch_so3_exp(rot_vecs)
+    exps = so3_exp(rot_vecs)
     return GroupState(
         exps[..., 0, :, :] @ mean.robot_rot,
         mean.robot_pos + pos_vecs[..., 0, :],

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, LogDomainError
-from .lie import batch_left_jacobian_inv, batch_so3_exp, batch_so3_log
+from .lie import batch_left_jacobian_inv, batch_so3_log, so3_exp
 
 
 def tangent_dim(num_features: int) -> int:
@@ -143,7 +143,7 @@ def group_exp(xi: np.ndarray, feature_ids: tuple = ()) -> GroupState:
         raise DimensionMismatchError(
             f"tangent vector has dim {xi.shape}, expected (..., {tangent_dim(k)})")
     rot_vecs, pos_vecs = split_tangent(xi, k)
-    rots, jls = batch_so3_exp(rot_vecs, left_jacobian=True)
+    rots, jls = so3_exp(rot_vecs, left_jacobian=True)
     jl = jls[..., 0, :, :]
     return GroupState(rots[..., 0, :, :], _rotate(jl, pos_vecs[..., 0, :]),
                       rots[..., 1:, :, :], pos_vecs[..., 1:, :] @ jl.swapaxes(-1, -2),

@@ -143,7 +143,8 @@ def run_filter(spec: FilterSpec, steps: dict,
     truth_states. With jacobian_steps set, the (F, H) Jacobians of up to that
     many steps are captured, starting on the first step after the state holds
     every feature the stream observes. A filter failure ends the run as
-    diverged, with reason "step N: cause".
+    diverged, with reason "step N: cause". final_state is the estimate of the
+    last trajectory row, so a failure never leaves the failing step's state.
     """
     conv, at_truth = spec.convention, spec.at_truth
     if at_truth and truth_states is None:
@@ -200,6 +201,7 @@ def run_filter(spec: FilterSpec, steps: dict,
                     increment_sum = delta if increments == 0 else increment_sum + delta
                     increments += 1
                 result.trajectory.append((state.mean.robot_rot, state.mean.robot_pos))
+                result.final_state = state
                 if step in eval_steps or step == num_steps:
                     _check_divergence(state, truth_states[step]
                                       if truth_states else None)
@@ -211,7 +213,6 @@ def run_filter(spec: FilterSpec, steps: dict,
                 result.diverged = True
                 result.reason = f"step {step}: {exc}"
                 break
-    result.final_state = state
     if jacobian_steps is not None:
         mode = "ideal" if at_truth else "estimated"
         log = JacobianLog(spec.kind, mode, observed,

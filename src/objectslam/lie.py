@@ -2,10 +2,13 @@
 
 Rotations are plain 3x3 numpy arrays. Closed-form Rodrigues expressions are
 used everywhere, with Taylor fallbacks below SMALL_ANGLE to avoid cancellation.
-The scalar maps sit on the filter's innermost loop, hence the scalar-math
-style; the batch_ maps take any leading axes, and each matches its scalar
-twin's regimes and accuracy. The quaternion maps take leading axes too, and
-one quaternion or rotation converts as one of a stack does, bit for bit.
+There is one exponential, so3_exp, and it takes any leading axes: the filters
+retract whole states through it and the simulator perturbs whole runs. skew
+and so3_log stay scalar, because each filter update logs one rotation at a
+time and the scalar log costs a fraction of a batch call on one matrix; the
+batch_ maps take leading axes and match their scalar twins' regimes and
+accuracy. The quaternion maps take leading axes too, and one quaternion or
+rotation converts as one of a stack does, bit for bit.
 """
 
 import math
@@ -52,20 +55,6 @@ def project_to_so3(r: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def so3_exp(phi: np.ndarray) -> np.ndarray:
-    """Rotation matrix for the rotation vector phi (radians)."""
-    x, y, z = phi.tolist() if isinstance(phi, np.ndarray) else phi
-    a2 = x * x + y * y + z * z
-    angle = math.sqrt(a2)
-    s = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    if angle < SMALL_ANGLE:
-        # sin(a)/a ~ 1 - a^2/6, (1-cos a)/a^2 ~ 1/2 - a^2/24
-        c1, c2 = 1.0 - a2 / 6.0, 0.5 - a2 / 24.0
-    else:
-        c1, c2 = math.sin(angle) / angle, (1.0 - math.cos(angle)) / a2
-    return _I3 + c1 * s + c2 * (s @ s)
-
-
 def so3_log(r: np.ndarray, validate: bool = True) -> np.ndarray:
     """Rotation vector of r, principal value with norm <= pi.
 
@@ -108,8 +97,13 @@ def _coefficients(a2: np.ndarray, series, closed) -> tuple:
     """Coefficients of the squared angles a2: series(a2) below SMALL_ANGLE,
     closed(angle, a2) above.
 
-    Batches of Kalman corrections are almost always uniformly tiny, so the
-    all-small and all-large regimes skip the elementwise branching.
+    A batch all on one side skips the elementwise branching. Over one
+    paper-setting run of the three filters (24,444 exponentials), none was
+    all-small, 13,654 were all-large and 10,790 mixed: the standard
+    retraction's corrections are all-large in 79% of its batches, the
+    invariant one's mixed in 90%. The simulator's run-sized batches are
+    all-large, and an all-small batch needs every angle below SMALL_ANGLE,
+    as a zero correction has.
     """
     if float(a2.max(initial=0.0)) < SMALL_ANGLE * SMALL_ANGLE:
         return series(a2)
@@ -129,8 +123,9 @@ def _rodrigues(s: np.ndarray, ss: np.ndarray, c1, c2) -> np.ndarray:
     return out
 
 
-def batch_so3_exp(phis: np.ndarray, left_jacobian: bool = False):
-    """so3_exp over (..., 3) rotation vectors: (..., 3, 3) rotations.
+def so3_exp(phis: np.ndarray, left_jacobian: bool = False):
+    """Rotations (..., 3, 3) of (..., 3) rotation vectors (radians); one
+    vector gives one 3x3 matrix, bit for bit as its row of a stack does.
 
     With left_jacobian, also the left Jacobians sum_k S^k / (k+1)! of the
     same vectors, from the same pass: they share S, S^2 and (1 - cos a)/a^2.

@@ -164,7 +164,7 @@ class ObservabilityReport:
     sigma_max: float
     singular_values: np.ndarray
     basis_residual: float
-    containment_residual: float
+    containment_residual: float | None  # None when the null space is empty
     passed: bool
 
     def to_dict(self) -> dict:
@@ -215,11 +215,11 @@ def check_null_space(log: JacobianLog,
     ns = null_space(obs, tol=tol)
     sv = ns.singular_values
     residual = float(np.linalg.norm(obs @ analytic))
-    contain = subspace_contained(analytic, ns.basis) if ns.dimension else np.inf
+    contain = float(subspace_contained(analytic, ns.basis)) if ns.dimension else None
     passed = (ns.dimension == expected_dim
               and residual <= max(tol * sv[0], 1e-12) * max(1.0, expected_dim))
     n_obs_steps = sum(1 for h in log.H if h is not None and h.size)
     return ObservabilityReport(
         log.filter_name, log.mode, log.num_features, n_obs_steps,
         log.state_dim, ns.dimension, expected_dim, float(sv[0]), sv,
-        residual, float(contain), bool(passed))
+        residual, contain, bool(passed))

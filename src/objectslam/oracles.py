@@ -9,7 +9,7 @@ import numpy as np
 
 from .ekf import INVARIANT, STANDARD, Convention, propagate_mean
 from .group import GroupState, tangent_dim
-from .lie import batch_so3_exp, random_rotation
+from .lie import random_rotation, so3_exp
 from .simulator import perturb_odometry
 from .types import FilterState, Odometry, PoseObservation
 
@@ -44,7 +44,7 @@ def _augmented_truth(true_state: GroupState, z: PoseObservation,
                      v: np.ndarray) -> GroupState:
     """Exact new-feature pose implied by observation z under (..., 6) noise v,
     over the leading axes of true_state and v."""
-    new_rot = true_state.robot_rot @ batch_so3_exp(-v[..., 0:3]) @ z.rot
+    new_rot = true_state.robot_rot @ so3_exp(-v[..., 0:3]) @ z.rot
     new_pos = true_state.robot_pos + np.einsum(
         "...ij,...j->...i", true_state.robot_rot, z.pos - v[..., 3:6])
     return GroupState(

@@ -9,6 +9,7 @@ in the body frame.
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -26,7 +27,6 @@ def _default_noise() -> np.ndarray:
 class SimConfig:
     num_features: int = 6
     loops: int = 25
-    circle_radius: float = 8.0 / (2.0 * math.pi)
     linear_speed: float = 0.1
     angular_speed: float = math.pi / 40.0
     sense_min: float = 0.5
@@ -46,6 +46,11 @@ class SimConfig:
                              "num_features non-negative")
         if self.placement not in ("ring", "central"):
             raise ValueError(f"unknown placement {self.placement!r}")
+
+    @property
+    def circle_radius(self) -> float:
+        """Radius of the driven circle."""
+        return self.linear_speed / self.angular_speed
 
     @property
     def steps_per_loop(self) -> int:
@@ -160,28 +165,28 @@ def _noise_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def perturb_odometry(u: Odometry, w: np.ndarray) -> Odometry:
-    """u as measured under the drawn noise 6-vector w: rotation noise on the
-    left, body-frame translation noise added."""
-    return Odometry(so3_exp(w[0:3]) @ u.rot, u.pos + w[3:6], u.noise_cov)
+    """u as measured under the drawn (..., 6) noise w: rotation noise on the
+    left, body-frame translation noise added; leading axes of w carry over."""
+    return Odometry(so3_exp(w[..., 0:3]) @ u.rot, u.pos + w[..., 3:6], u.noise_cov)
 
 
-def sample_observations(true_state: GroupState, cfg: SimConfig,
-                        rng: np.random.Generator,
-                        _factor: np.ndarray | None = None) -> list:
-    """Noisy relative poses of every feature inside the sensing annulus."""
-    obs = []
-    factor = _noise_factor(cfg.omega) if _factor is None else _factor
-    rt = true_state.robot_rot.T
-    for fid in _visible_ids(true_state, cfg):
-        j = true_state.index_of(fid)
-        v = factor @ rng.standard_normal(6)
-        obs.append(PoseObservation(
-            fid,
-            so3_exp(v[0:3]) @ rt @ true_state.feature_rots[j],
-            rt @ (true_state.feature_pos[j] - true_state.robot_pos) + v[3:6],
-            cfg.omega,
-        ))
-    return obs
+def _apply(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Matrix-vector products m @ z over the leading axes of m and z, each
+    bit for bit the 2-D product (z @ m.T rounds differently)."""
+    return (m @ z[..., None])[..., 0]
+
+
+def _relative_poses(world: GroupState, trace: GroundTruthTrace,
+                    v: np.ndarray) -> tuple:
+    """Rotations (M, 3, 3) and positions (M, 3) of the M visible features
+    of the trace, step by step, as observed under the noise 6-vectors v."""
+    index = {fid: j for j, fid in enumerate(world.feature_ids)}
+    feats = np.array([index[fid] for ids in trace.visible for fid in ids], dtype=int)
+    at = np.repeat(np.arange(len(trace.states)), [len(ids) for ids in trace.visible])
+    robot_pos = np.stack([s.robot_pos for s in trace.states])[at]
+    rt = np.stack([s.robot_rot for s in trace.states])[at].swapaxes(-1, -2)
+    rots = so3_exp(v[:, 0:3]) @ rt @ world.feature_rots[feats]
+    return rots, _apply(rt, world.feature_pos[feats] - robot_pos) + v[:, 3:6]
 
 
 def simulate_run(cfg: SimConfig, world: GroupState, rng: np.random.Generator,
@@ -191,20 +196,25 @@ def simulate_run(cfg: SimConfig, world: GroupState, rng: np.random.Generator,
     observations[n] belong to the true state at step n (n = 0 .. N);
     odometry[n] moves step n to n+1. noise_scale multiplies the drawn noise
     (0 gives exact measurements); the generator is consumed the same way for
-    every scale.
+    every scale. All N + M noise 6-vectors (M observations) come from one
+    draw, in the order of a step-by-step simulation: step 0's observations,
+    then per step its odometry followed by the next state's observations.
     """
     trace = generate_trajectory(cfg, world)
     n = cfg.num_steps
-    odoms = []
-    noises = np.zeros((n, 6))
-    sigma_factor = noise_scale * _noise_factor(cfg.sigma)
-    omega_factor = noise_scale * _noise_factor(cfg.omega)
-    observations = [sample_observations(trace.states[0], cfg, rng,
-                                        _factor=omega_factor)]
-    for i in range(n):
-        w = sigma_factor @ rng.standard_normal(6)
-        odoms.append(perturb_odometry(trace.odometry[i], w))
-        noises[i] = w
-        observations.append(sample_observations(trace.states[i + 1], cfg, rng,
-                                                _factor=omega_factor))
+    counts = [len(ids) for ids in trace.visible]
+    draws = rng.standard_normal((n + sum(counts), 6))
+    odom_rows = np.cumsum(counts[:-1], dtype=int) + np.arange(n)
+    noises = _apply(noise_scale * _noise_factor(cfg.sigma), draws[odom_rows])
+    rots, pos = _relative_poses(world, trace, _apply(
+        noise_scale * _noise_factor(cfg.omega), np.delete(draws, odom_rows, axis=0)))
+    del draws  # not kept alive while the per-measurement objects are made
+
+    u = step_odometry(cfg)
+    measured = perturb_odometry(u, noises)
+    odoms = [Odometry(r, p, u.noise_cov) for r, p in zip(measured.rot, measured.pos)]
+    ids = (fid for step_ids in trace.visible for fid in step_ids)
+    flat = iter([PoseObservation(fid, r, p, cfg.omega)
+                 for fid, r, p in zip(ids, rots, pos)])
+    observations = [list(islice(flat, c)) for c in counts]
     return SimulatedRun(trace, odoms, observations, noises)

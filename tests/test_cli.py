@@ -96,6 +96,25 @@ def test_observability_command_std_modes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["null_dim"] == 3
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_full_rank_observability_report_is_strict_json(tmp_path, capsys):
+    # F = H = I6 with no features: full rank, so the null space is empty
+    eye = " ".join(map(str, np.eye(6).ravel().tolist()))
+    path = tmp_path / "jac.txt"
+    path.write_text('{"filter": "riekf", "mode": "estimated", "num_features": 0, '
+                    f'"steps": 1}}\nF 0 6 6 {eye}\nH 0 6 6 {eye}\n')
+    rc = main(["observability", "--jacobian-log", str(path),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 1
+    for text in (capsys.readouterr().out, (tmp_path / "report.json").read_text()):
+        report = json.loads(text, parse_constant=_reject_constant)
+        assert report["null_dim"] == 0 and not report["passed"]
+        assert report["containment_residual"] is None
+
+
 def test_emit_jacobian_log(tmp_path):
     rc = main(["simulate", "--filter", "riekf", "--runs", "1", "--loops", "1",
                "--seed", "8", "--eval-stride", "40", "--emit-jacobian-log",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -17,9 +18,8 @@ from objectslam.logio import (read_measurement_log, write_jacobian_log,
 from objectslam.metrics import standard_error_vector
 from objectslam.observability import check_null_space
 from objectslam.oracles import jacobian_check_suite
-from objectslam.simulator import (SimConfig, generate_world,
-                                  sample_observations, simulate_run)
-from objectslam.types import PoseObservation
+from objectslam.simulator import SimConfig, generate_world, simulate_run
+from objectslam.types import Odometry, PoseObservation
 
 
 def small_sim(seed=0, loops=1, noise_scale=1.0, num_features=6):
@@ -192,10 +192,10 @@ def corridor_steps(num_steps=120, step=0.1):
         state = GroupState(np.eye(3), np.array([step * i, 0.0, 0.0]),
                            frots, fpos, ids)
         truth.append(state)
-        obs = sample_observations(state, cfg.with_noise([0.1] * 6, [0.0] * 6),
-                                  np.random.default_rng(0))
-        obs = [PoseObservation(z.feature_id, z.rot, z.pos, cfg.omega)
-               for z in obs]
+        # the exact relative poses of the features in sensing range
+        obs = simulate_run(dataclasses.replace(cfg, loops=0), state,
+                           np.random.default_rng(0),
+                           noise_scale=0.0).observations[0]
         entry = ReplayStep(observations=obs,
                            truth_robot=(state.robot_rot, state.robot_pos))
         entry.truth_features = {fid: (frots[j], fpos[j])
@@ -268,6 +268,25 @@ def test_mid_stream_filter_failure_is_diverged_with_its_step():
     assert "condition number" in result.reason
     assert len(result.trajectory) == 5
     assert replay_metrics(steps, result)["robot_pos_rmse"] < 0.1
+
+
+@pytest.mark.parametrize("kind", ["riekf", "stdekf"])
+def test_failure_after_propagation_keeps_the_last_good_state(kind):
+    # a step-10 odometry translation of 1e308 fails step 10 after its
+    # propagation; the final state is the step-9 estimate, not the overflow
+    cfg = SimConfig(num_features=2, loops=1, seed=3)
+    world = generate_world(cfg, np.random.default_rng(3))
+    run = simulate_run(cfg, world, np.random.default_rng(4))
+    odometry = list(run.odometry)
+    u = odometry[9]
+    odometry[9] = Odometry(u.rot, np.array([1e308, 0.0, 0.0]), u.noise_cov)
+    result = run_filter(FilterSpec(kind), simulated_steps(odometry, run.observations))
+    assert result.diverged and result.reason.startswith("step 10: ")
+    assert len(result.trajectory) == 10
+    rot, pos = result.trajectory[-1]
+    assert result.final_state.mean.robot_rot is rot
+    assert result.final_state.mean.robot_pos is pos
+    assert np.isfinite(result.final_state.cov).all()
 
 
 def test_replay_reproduces_exported_simulation(tmp_path):

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from objectslam.errors import InvalidRotationError, LogDomainError
-from objectslam.lie import (batch_left_jacobian_inv, batch_so3_exp,
-                            batch_so3_log, project_to_so3,
-                            random_rotation, rot_to_quat, quat_to_rot,
-                            skew, so3_exp, so3_log)
+from objectslam.lie import (batch_left_jacobian_inv, batch_so3_log,
+                            project_to_so3, random_rotation, rot_to_quat,
+                            quat_to_rot, skew, so3_exp, so3_log)
 
 
 def left_jacobian(phi):
-    return batch_so3_exp(phi, left_jacobian=True)[1]
+    return so3_exp(phi, left_jacobian=True)[1]
 
 
 def series_exp(phi, terms=30):
@@ -171,11 +170,14 @@ def test_left_jacobian_inverse_over_leading_axes_and_regimes():
         batch_left_jacobian_inv(np.array([2.0 * np.pi, 0.0, 0.0]))
 
 
-def test_batch_exp_and_left_jacobian_match_scalar_and_series():
+def test_so3_exp_of_one_vector_is_its_row_of_a_stack():
+    # the stack mixes both regimes, and exact zero, while each single vector
+    # is a one-regime batch
     rng = np.random.default_rng(10)
     phis = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-9, 0.4, size=(300, 1))
-    rots, jls = batch_so3_exp(phis, left_jacobian=True)
-    assert np.array_equal(rots, batch_so3_exp(phis))
+    phis[0] = 0.0
+    rots, jls = so3_exp(phis, left_jacobian=True)
+    assert np.array_equal(rots, so3_exp(phis))
     for phi, r, jl in zip(phis, rots, jls):
         assert np.array_equal(r, so3_exp(phi))
         assert np.allclose(jl, series_left_jacobian(phi), atol=1e-12)
@@ -187,12 +189,12 @@ def test_batch_so3_log_matches_scalar_up_to_pi():
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     for angle in (0.0, 1e-9, 1e-5, 0.3, 2.5, 2.7, np.pi - 1e-3,
                   np.pi - 1e-5, np.pi - 1e-6, np.pi):
-        rots = batch_so3_exp(angle * axes)
+        rots = so3_exp(angle * axes)
         batch = batch_so3_log(rots)
         scalar = np.array([so3_log(r) for r in rots])
         assert np.abs(batch - scalar).max() <= 1e-12, angle
     # the same near-pi regime over two leading axes
-    rots = batch_so3_exp((np.pi - 1e-6) * axes).reshape(40, 50, 3, 3)
+    rots = so3_exp((np.pi - 1e-6) * axes).reshape(40, 50, 3, 3)
     assert batch_so3_log(rots).shape == (40, 50, 3)
 
 
