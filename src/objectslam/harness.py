@@ -20,7 +20,8 @@ from .errors import (FilterDivergedError, IllConditionedInnovationError,
 from .gating import gate
 from .group import GroupState
 from .lie import so3_exp, so3_log
-from .logio import ReplayStep, write_jacobian_log, write_measurement_log
+from .logio import (ReplayStep, landmark_truth_changes, write_jacobian_log,
+                    write_measurement_log)
 from .metrics import BLOCKS, collect_samples, nees, rmse, standard_error_vector
 from .observability import FILTERS, JacobianLog
 from .simulator import SimConfig, _noise_factor, generate_world, simulate_run
@@ -116,16 +117,19 @@ def simulated_steps(odometry: list, observations: list,
                     truth_states: list | None = None) -> dict:
     """The {step: ReplayStep} stream of a simulated run, as
     read_measurement_log returns it: odometry[s - 1] is recorded at step s,
-    and truth records are attached when truth_states is given."""
+    and when truth_states is given truth records are attached as
+    write_measurement_log writes them (the robot's at every step, a
+    landmark's when it changes)."""
     steps = {}
+    changes = landmark_truth_changes(truth_states or ())
     for s, obs in enumerate(observations):
         entry = ReplayStep(odometry=odometry[s - 1] if s else None,
                            observations=obs)
         if truth_states is not None:
             t = truth_states[s]
             entry.truth_robot = (t.robot_rot, t.robot_pos)
-            entry.truth_features = {fid: (t.feature_rots[j], t.feature_pos[j])
-                                    for j, fid in enumerate(t.feature_ids)}
+            entry.truth_features = {fid: (rot, pos)
+                                    for fid, rot, pos in next(changes)}
         steps[s] = entry
     return steps
 
@@ -237,8 +241,9 @@ def synthesize_constant_velocity_odometry(increment_sum: np.ndarray, count: int,
 
 def replay_metrics(steps: dict, result: RunResult) -> dict | None:
     """Error metrics of a run against the stream's truth records: robot RMSE
-    over the run's trajectory, feature RMSE of the final state against the
-    last step's truth; None when no step of the trajectory has truth."""
+    over the run's trajectory, feature RMSE of the final state against each
+    landmark's latest truth record (a log writes one only when the landmark
+    moves); None when no step of the trajectory has truth."""
     robot_err = []
     for step, (rot, pos) in enumerate(result.trajectory):
         rec = steps.get(step)
@@ -255,8 +260,11 @@ def replay_metrics(steps: dict, result: RunResult) -> dict | None:
         "final_robot_pos_error": float(np.linalg.norm(errs[-1, 3:6])),
     }
     mean = result.final_state.mean
+    truth = {}
+    for step in sorted(steps):
+        truth.update(steps[step].truth_features)
     f_rot, f_pos = [], []
-    for fid, (r_t, p_t) in steps[max(steps)].truth_features.items():
+    for fid, (r_t, p_t) in truth.items():
         if fid in mean.feature_ids:
             j = mean.index_of(fid)
             f_rot.append(so3_log(r_t @ mean.feature_rots[j].T))
@@ -432,8 +440,16 @@ def observability_experiment(kind: str, num_features: int, steps: int,
     rng = np.random.default_rng(seed)
     world = generate_world(cfg, rng)
     run = simulate_run(cfg, world, rng, 1.0 if noisy else 0.0)
-    spec = FilterSpec(kind)
-    result = run_filter(spec, simulated_steps(run.odometry, run.observations),
+    # run_filter's window opens on the step after every observed feature was
+    # first seen; nothing after the window's last F (step start + steps) is
+    # read, so the stream ends there
+    first_seen = {}
+    for s, obs in enumerate(run.observations):
+        for z in obs:
+            first_seen.setdefault(z.feature_id, s)
+    end = max(first_seen.values(), default=0) + 1 + steps
+    result = run_filter(FilterSpec(kind),
+                        simulated_steps(run.odometry[:end], run.observations[:end + 1]),
                         run.trace.states, jacobian_steps=steps)
     log = result.jacobian_log
     if not noisy:

@@ -4,6 +4,9 @@ Measurement logs carry one record per line with kinds "odom", "obs" and
 (optionally) "truth"; rotations travel as (w, x, y, z) unit quaternions and
 covariances as the 21 upper-triangle entries of the 6x6 matrix, rotation block
 first. Truth records make replay metrics possible and use a zero covariance.
+The writer gives the robot a truth record at every step and a landmark one
+only when its pose differs from the last one written for it (a static
+landmark: once, at step 0); the reader accepts logs that repeat them.
 
 Every parsed value is checked: lines are UTF-8, steps are non-negative JSON
 integers, numbers are finite JSON numbers (not strings or booleans), feature
@@ -95,14 +98,32 @@ class ReplayStep:
     truth_features: dict = field(default_factory=dict)
 
 
+def landmark_truth_changes(states):
+    """For each state in turn, the (feature id, rot, pos) of every landmark
+    whose pose differs, bit for bit, from the last one yielded for it: all
+    of the first state's landmarks, then none while they stay put."""
+    last = {}  # feature id -> bytes of the pose last yielded for it
+    for s in states:
+        changed = []
+        for j, fid in enumerate(s.feature_ids):
+            rot, pos = s.feature_rots[j], s.feature_pos[j]
+            key = (rot.tobytes(), pos.tobytes())
+            if last.get(fid) != key:
+                last[fid] = key
+                changed.append((fid, rot, pos))
+        yield changed
+
+
 def write_measurement_log(path, odometry, observations, trace=None) -> None:
     """Write a run's measurements; include truth records when a trace is given.
 
     odometry[i] moves step i to i+1 and is written at step i+1; observations
-    is indexed by step (0 .. N).
+    is indexed by step (0 .. N). The robot's truth is written at every step,
+    a landmark's only when it changes (landmark_truth_changes).
     """
     zero = np.zeros((6, 6))
     records = []  # (step, kind, feature id or None, rot, pos, cov) in file order
+    changes = landmark_truth_changes(trace.states) if trace is not None else None
     for step, obs_list in enumerate(observations):
         if step > 0 and step - 1 < len(odometry):
             u = odometry[step - 1]
@@ -110,8 +131,8 @@ def write_measurement_log(path, odometry, observations, trace=None) -> None:
         if trace is not None:
             s = trace.states[step]
             records.append((step, "truth", None, s.robot_rot, s.robot_pos, zero))
-            records += [(step, "truth", fid, s.feature_rots[j], s.feature_pos[j], zero)
-                        for j, fid in enumerate(s.feature_ids)]
+            records += [(step, "truth", fid, rot, pos, zero)
+                        for fid, rot, pos in next(changes)]
         records += [(step, "obs", z.feature_id, z.rot, z.pos, z.noise_cov)
                     for z in obs_list]
     quats = rot_to_quat(np.array([r[3] for r in records], dtype=float).reshape(-1, 3, 3))

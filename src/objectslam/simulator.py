@@ -46,15 +46,25 @@ class SimConfig:
                              "num_features non-negative")
         if self.placement not in ("ring", "central"):
             raise ValueError(f"unknown placement {self.placement!r}")
+        # zero is allowed: step_odometry stands still, but no loop closes
+        if not self.angular_speed >= 0.0:
+            raise ValueError(f"angular_speed must be non-negative, "
+                             f"got {self.angular_speed!r}")
+
+    def _positive_angular_speed(self, quantity: str) -> float:
+        if self.angular_speed == 0.0:
+            raise ValueError(f"{quantity} needs a positive angular_speed, got 0")
+        return self.angular_speed
 
     @property
     def circle_radius(self) -> float:
         """Radius of the driven circle."""
-        return self.linear_speed / self.angular_speed
+        return self.linear_speed / self._positive_angular_speed("circle_radius")
 
     @property
     def steps_per_loop(self) -> int:
-        return int(round(2.0 * math.pi / (self.angular_speed * self.step_dt)))
+        turn = self._positive_angular_speed("steps_per_loop") * self.step_dt
+        return int(round(2.0 * math.pi / turn))
 
     @property
     def num_steps(self) -> int:

@@ -13,13 +13,13 @@ from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
                                 run_monte_carlo, simulated_steps,
                                 synthesize_constant_velocity_odometry)
 from objectslam.lie import random_rotation
-from objectslam.logio import (read_measurement_log, write_jacobian_log,
-                              write_measurement_log)
+from objectslam.logio import (ReplayStep, read_measurement_log,
+                              write_jacobian_log, write_measurement_log)
 from objectslam.metrics import standard_error_vector
 from objectslam.observability import check_null_space
 from objectslam.oracles import jacobian_check_suite
 from objectslam.simulator import SimConfig, generate_world, simulate_run
-from objectslam.types import Odometry, PoseObservation
+from objectslam.types import FilterState, Odometry, PoseObservation
 
 
 def small_sim(seed=0, loops=1, noise_scale=1.0, num_features=6):
@@ -287,6 +287,42 @@ def test_failure_after_propagation_keeps_the_last_good_state(kind):
     assert result.final_state.mean.robot_rot is rot
     assert result.final_state.mean.robot_pos is pos
     assert np.isfinite(result.final_state.cov).all()
+
+
+def test_simulated_truth_records_match_the_written_log(tmp_path):
+    _, run = small_sim(seed=6)
+    path = tmp_path / "run.jsonl"
+    write_measurement_log(path, run.odometry, run.observations, trace=run.trace)
+    parsed = read_measurement_log(path)
+    direct = simulated_steps(run.odometry, run.observations, run.trace.states)
+    assert list(direct) == list(parsed)
+    assert list(direct[0].truth_features) == list(run.trace.states[0].feature_ids)
+    for step, entry in direct.items():
+        assert list(entry.truth_features) == list(parsed[step].truth_features)
+        for (r1, p1), (r2, p2) in zip(
+                [entry.truth_robot, *entry.truth_features.values()],
+                [parsed[step].truth_robot, *parsed[step].truth_features.values()]):
+            assert np.allclose(r1, r2, rtol=0.0, atol=1e-14)
+            assert np.array_equal(p1, p2)
+
+
+def test_replay_metrics_take_each_landmarks_latest_truth():
+    ids = ("a", "b")
+    rots = np.stack([np.eye(3)] * 2)
+    before, after = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), \
+        np.array([[1.5, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    robot = (np.eye(3), np.zeros(3))
+    steps = {0: ReplayStep(truth_robot=robot,
+                           truth_features={fid: (rots[j], before[j])
+                                           for j, fid in enumerate(ids)}),
+             1: ReplayStep(truth_robot=robot, truth_features={"a": (rots[0], after[0])}),
+             2: ReplayStep(truth_robot=robot)}
+    mean = GroupState(np.eye(3), np.zeros(3), rots, after, ids)
+    result = harness.RunResult(FilterSpec("riekf"), FilterState(mean, np.eye(18)),
+                               [robot] * 3)
+    metrics = replay_metrics(steps, result)
+    assert metrics["feature_pos_rmse"] == 0.0
+    assert metrics["feature_rot_rmse"] == 0.0
 
 
 def test_replay_reproduces_exported_simulation(tmp_path):

@@ -2,17 +2,20 @@ import hashlib
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from objectslam.cli import main
 from objectslam.errors import MalformedRecordError
-from objectslam.harness import observability_experiment
-from objectslam.logio import (BLOCK_RECORDS, QUAT_NORM_TOL, _matrix_line,
-                              read_jacobian_log, read_measurement_log,
-                              write_jacobian_log, write_measurement_log)
-from objectslam.simulator import SimConfig, generate_world, simulate_run
+from objectslam.harness import inject_outliers, observability_experiment
+from objectslam.logio import (BLOCK_RECORDS, QUAT_NORM_TOL, ReplayStep,
+                              _matrix_line, read_jacobian_log,
+                              read_measurement_log, write_jacobian_log,
+                              write_measurement_log)
+from objectslam.simulator import (GroundTruthTrace, SimConfig, generate_world,
+                                  simulate_run)
 
 
 def make_run(tmp_path, loops=1, seed=7):
@@ -49,6 +52,97 @@ def test_position_roundtrip_is_bit_exact(tmp_path):
     _, run, path = make_run(tmp_path)
     steps = read_measurement_log(path)
     assert np.array_equal(steps[1].odometry.pos, run.odometry[0].pos)
+
+
+def _is_landmark_truth(rec):
+    return rec["kind"] == "truth" and "feature_id" in rec
+
+
+def _old_layout_twin(path, twin):
+    """Write the log at path in the layout that repeats every landmark's
+    latest truth record at every step, after the robot's."""
+    by_step = {}
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        by_step.setdefault(rec["step"], []).append(rec)
+    landmarks, out = {}, []
+    for step, recs in by_step.items():
+        landmarks.update((r["feature_id"], r) for r in recs if _is_landmark_truth(r))
+        for rec in recs:
+            if not _is_landmark_truth(rec):
+                out.append(rec)
+                if rec["kind"] == "truth":
+                    out += [dict(r, step=step) for r in landmarks.values()]
+    twin.write_text("".join(json.dumps(r) + "\n" for r in out))
+
+
+def test_written_log_holds_each_landmark_truth_once(tmp_path):
+    cfg, run, path = make_run(tmp_path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    n, k = cfg.num_steps, cfg.num_features
+    assert sum(r["kind"] == "odom" for r in records) == n
+    assert sum(r["kind"] == "truth" and "feature_id" not in r for r in records) == n + 1
+    assert [r["step"] for r in records if _is_landmark_truth(r)] == [0] * k
+    assert sum(r["kind"] == "obs" for r in records) == sum(map(len, run.observations))
+    assert len(records) == n + (n + 1) + k + sum(map(len, run.observations))
+
+
+def test_moved_landmark_truth_is_written_again(tmp_path):
+    world = generate_world(SimConfig(num_features=3), np.random.default_rng(0))
+    moved = world.feature_pos.copy()
+    moved[1, 2] += 0.5
+    states = [world] * 3 + [replace(world, feature_pos=moved)] * 2 + [world]
+    path = tmp_path / "moving.jsonl"
+    write_measurement_log(path, [], [[] for _ in states],
+                          trace=GroundTruthTrace(states, [], []))
+    steps = read_measurement_log(path)
+    assert {s: list(e.truth_features) for s, e in steps.items() if e.truth_features} \
+        == {0: ["obj0", "obj1", "obj2"], 3: ["obj1"], 5: ["obj1"]}
+    assert np.array_equal(steps[3].truth_features["obj1"][1], moved[1])
+    assert all(steps[s].truth_robot is not None for s in range(len(states)))
+
+
+def test_reader_accepts_both_truth_layouts(tmp_path):
+    cfg, run, path = make_run(tmp_path)
+    twin = tmp_path / "twin.jsonl"
+    _old_layout_twin(path, twin)
+    new, old = read_measurement_log(path), read_measurement_log(twin)
+    assert len(twin.read_text().splitlines()) \
+        == len(path.read_text().splitlines()) + cfg.num_steps * cfg.num_features
+    assert list(new) == list(old)
+    ids = set(run.trace.states[0].feature_ids)
+    assert all(set(entry.truth_features) == ids for entry in old.values())
+    latest = {}
+    for step in new:
+        latest.update(new[step].truth_features)
+        for fid, (rot, pos) in old[step].truth_features.items():
+            assert np.array_equal(rot, latest[fid][0])
+            assert np.array_equal(pos, latest[fid][1])
+        assert np.array_equal(new[step].truth_robot[1], old[step].truth_robot[1])
+        assert [z.feature_id for z in new[step].observations] \
+            == [z.feature_id for z in old[step].observations]
+
+
+@pytest.mark.parametrize("filt", ["riekf", "stdekf"])
+def test_robust_replay_outputs_identical_on_both_truth_layouts(tmp_path, filt):
+    _, run, _ = make_run(tmp_path, seed=3)
+    steps = {s: ReplayStep(observations=obs) for s, obs in enumerate(run.observations)}
+    corrupted, injected = inject_outliers(steps, 0.05, 20.0, np.random.default_rng(4))
+    assert injected
+    path, twin = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    write_measurement_log(path, run.odometry,
+                          [corrupted[s].observations for s in range(len(steps))],
+                          trace=run.trace)
+    _old_layout_twin(path, twin)
+    outputs = []
+    for log in (path, twin):
+        out = tmp_path / f"out-{log.stem}"
+        assert main(["replay", "--log", str(log), "--robust", "--filter", filt,
+                     "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["features.csv", "gates.csv", "metrics.json",
+                                  "trajectory.csv"]
+    assert outputs[0] == outputs[1]
 
 
 def test_malformed_json_reports_line_number(tmp_path):
@@ -583,15 +677,17 @@ def _stream_digest(steps):
     return h.hexdigest()[:16]
 
 
-def test_two_loop_log_bytes_and_parsed_stream_digests(tmp_path):
-    # recorded when each record was written and parsed one at a time, on
-    # x86-64 with numpy 2.4 and OpenBLAS; another BLAS build may round
-    # differently. The log's 1955 lines span four parse blocks.
-    _, _, path = make_run(tmp_path, loops=2)
+def test_four_loop_log_bytes_and_parsed_stream_digests(tmp_path):
+    # recorded when landmark truth was first written once per landmark: the
+    # log is, byte for byte, the earlier writer's log without its repeated
+    # landmark-truth lines; on x86-64 with numpy 2.4 and OpenBLAS, another
+    # BLAS build may round differently. The log's 1979 lines span four
+    # parse blocks.
+    _, _, path = make_run(tmp_path, loops=4)
     data = path.read_bytes()
     assert len(data.splitlines()) > 3 * BLOCK_RECORDS
-    assert hashlib.sha256(data).hexdigest()[:16] == "bc2270046e6a0ffd"
-    assert _stream_digest(read_measurement_log(path)) == "15e57164c0e66984"
+    assert hashlib.sha256(data).hexdigest()[:16] == "5f16bb83cf54fb4d"
+    assert _stream_digest(read_measurement_log(path)) == "e7229a49ebe30775"
 
 
 def _valid_line(n, rng):
@@ -692,7 +788,7 @@ def test_non_utf8_line_after_a_pending_block_fault(tmp_path):
 
 
 def test_parse_peak_memory_stays_near_the_stream_size(tmp_path):
-    _, _, path = make_run(tmp_path, loops=6)
+    _, _, path = make_run(tmp_path, loops=11)
     assert len(path.read_bytes().splitlines()) >= 5000
     tracemalloc.start()
     try:

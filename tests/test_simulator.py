@@ -52,6 +52,16 @@ def test_config_validation():
         SimConfig(step_dt=0.0)
     with pytest.raises(ValueError):
         SimConfig(placement="spiral")
+    for speed in (-0.1, -math.pi / 40.0, float("nan")):
+        with pytest.raises(ValueError, match="angular_speed must be non-negative"):
+            SimConfig(angular_speed=speed)
+
+
+@pytest.mark.parametrize("quantity", ["steps_per_loop", "num_steps", "circle_radius"])
+def test_zero_angular_speed_closes_no_loop(quantity):
+    cfg = SimConfig(angular_speed=0.0)
+    with pytest.raises(ValueError, match="needs a positive angular_speed"):
+        getattr(cfg, quantity)
 
 
 def test_world_determinism():
