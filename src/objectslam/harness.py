@@ -2,7 +2,8 @@
 
 Everything here is deterministic for a fixed seed: worlds come from the seed,
 run i draws from a generator seeded with seed + i, and aggregation reduces
-runs in index order.
+runs in index order. Observability runs capture (F, H) over one window,
+which _capture_window reads from the stream's first sightings.
 """
 
 import csv
@@ -85,15 +86,17 @@ def _process_observation(spec: FilterSpec, state: FilterState,
     return conv.apply_update(state, inn)
 
 
-def _prediction_jacobian(conv: Convention, state: FilterState,
-                         obs_list: list, lin: GroupState | None):
-    rows = []
-    for z in obs_list:
-        if z.feature_id not in state.mean.feature_ids:
-            continue
-        j = state.mean.index_of(z.feature_id)
-        rows.append(conv.observation_jacobian(state.mean, j, lin))
-    return np.vstack(rows) if rows else None
+def _capture_window(steps: dict) -> tuple:
+    """(first step, observed feature count) of the Jacobian capture window
+    of a {step: ReplayStep} stream. The window opens on the step after the
+    last first sighting: a first sighting always initializes its feature and
+    a failing step ends the run, so from then on the state holds every
+    feature the stream observes."""
+    first_seen = {}
+    for s in sorted(steps):
+        for z in steps[s].observations:
+            first_seen.setdefault(z.feature_id, s)
+    return max(first_seen.values(), default=0) + 1, len(first_seen)
 
 
 def _check_divergence(state: FilterState, truth: GroupState | None) -> None:
@@ -145,23 +148,24 @@ def run_filter(spec: FilterSpec, steps: dict,
     odometry synthesized from the trajectory so far, which needs
     synth_noise_cov. The ideal variant and any metric sampling need
     truth_states. With jacobian_steps set, the (F, H) Jacobians of up to that
-    many steps are captured, starting on the first step after the state holds
-    every feature the stream observes. A filter failure ends the run as
-    diverged, with reason "step N: cause". final_state is the estimate of the
-    last trajectory row, so a failure never leaves the failing step's state.
+    many steps are captured, starting on the step after the stream's last
+    first sighting of a feature (_capture_window), when the state holds every
+    feature the stream observes. A filter failure ends the run as diverged,
+    with reason "step N: cause". final_state is the estimate of the last
+    trajectory row, so a failure never leaves the failing step's state.
     """
     conv, at_truth = spec.convention, spec.at_truth
     if at_truth and truth_states is None:
         raise ValueError("ideal filter needs ground-truth states")
     if eval_steps and truth_states is None:
         raise ValueError("metric sampling needs ground-truth states")
+    window = range(0)  # the steps whose H is captured
     if jacobian_steps is not None:
-        observed = len({z.feature_id for rec in steps.values()
-                        for z in rec.observations})
+        start, observed = _capture_window(steps)
+        window = range(start, start + jacobian_steps)
     state = initial_filter_state()
     result = RunResult(spec, state, [])
     log_f, log_h = [], []
-    log_start = None  # first step of the capture window, once it opens
     # running sum of the body-frame increments between recorded estimates;
     # it starts at the first increment, not at zeros, so it is the sum that
     # np.sum over all of them forms (a -0.0 component stays -0.0)
@@ -175,7 +179,6 @@ def run_filter(spec: FilterSpec, steps: dict,
             rec = steps.get(step, no_records)
             lin_prev = truth_states[step - 1] if at_truth else None
             lin_here = truth_states[step] if at_truth else None
-            offset = None if log_start is None else step - log_start
             try:
                 if step > 0:
                     u = rec.odometry
@@ -186,19 +189,18 @@ def run_filter(spec: FilterSpec, steps: dict,
                                 "synthesis needs an explicit noise covariance")
                         u = synthesize_constant_velocity_odometry(
                             increment_sum, increments, synth_noise_cov)
-                    # F entries are the transitions into window offsets 1..n
-                    if offset is not None and 0 < offset <= jacobian_steps:
+                    # F entries are the transitions out of the window's steps
+                    if step - 1 in window:
                         log_f.append(conv.propagation_jacobians(state, u, lin_prev)[0])
                     state = conv.propagate(state, u, lin_prev)
-                if offset is not None and offset < jacobian_steps:
-                    log_h.append(_prediction_jacobian(conv, state, rec.observations,
-                                                      lin_here))
+                if step in window:
+                    rows = [conv.observation_jacobian(
+                        state.mean, state.mean.index_of(z.feature_id), lin_here)
+                        for z in rec.observations]
+                    log_h.append(np.vstack(rows) if rows else None)
                 for z in rec.observations:
                     state = _process_observation(spec, state, z, lin_here,
                                                  result.gates, step)
-                if log_start is None and jacobian_steps is not None \
-                        and state.mean.num_features == observed:
-                    log_start = step + 1
                 if synth_noise_cov is not None and result.trajectory:
                     prev_rot, prev_pos = result.trajectory[-1]
                     delta = prev_rot.T @ (state.mean.robot_pos - prev_pos)
@@ -220,7 +222,7 @@ def run_filter(spec: FilterSpec, steps: dict,
     if jacobian_steps is not None:
         mode = "ideal" if at_truth else "estimated"
         log = JacobianLog(spec.kind, mode, observed,
-                          start_step=log_start if log_h else 0)
+                          start_step=window.start if log_h else 0)
         # a run that ended inside the window has no F out of its last step
         log_f += [np.eye(log.state_dim) for _ in range(len(log_h) - len(log_f))]
         for f, h in zip(log_f, log_h):
@@ -431,8 +433,10 @@ def observability_experiment(kind: str, num_features: int, steps: int,
                              seed: int, noisy: bool = True) -> tuple:
     """Run a filter on an always-in-range world and capture its Jacobians.
 
-    Returns (JacobianLog, true initial state). The ideal variant runs on
-    noise-free data so its linearization premise holds exactly.
+    Returns (JacobianLog, true state at the window's first step). The
+    stream is cut after the capture window's last step (_capture_window), so
+    no step past it is filtered. The ideal variant runs on noise-free data so
+    its linearization premise holds exactly.
     """
     loops = max(1, math.ceil((steps + 5) / 80))
     cfg = SimConfig(num_features=num_features, loops=loops, seed=seed,
@@ -440,16 +444,11 @@ def observability_experiment(kind: str, num_features: int, steps: int,
     rng = np.random.default_rng(seed)
     world = generate_world(cfg, rng)
     run = simulate_run(cfg, world, rng, 1.0 if noisy else 0.0)
-    # run_filter's window opens on the step after every observed feature was
-    # first seen; nothing after the window's last F (step start + steps) is
-    # read, so the stream ends there
-    first_seen = {}
-    for s, obs in enumerate(run.observations):
-        for z in obs:
-            first_seen.setdefault(z.feature_id, s)
-    end = max(first_seen.values(), default=0) + 1 + steps
+    stream = simulated_steps(run.odometry, run.observations)
+    # nothing after the capture window's last F (step start + steps) is read
+    end = _capture_window(stream)[0] + steps
     result = run_filter(FilterSpec(kind),
-                        simulated_steps(run.odometry[:end], run.observations[:end + 1]),
+                        {s: rec for s, rec in stream.items() if s <= end},
                         run.trace.states, jacobian_steps=steps)
     log = result.jacobian_log
     if not noisy:

@@ -3,7 +3,8 @@
 Measurement logs carry one record per line with kinds "odom", "obs" and
 (optionally) "truth"; rotations travel as (w, x, y, z) unit quaternions and
 covariances as the 21 upper-triangle entries of the 6x6 matrix, rotation block
-first. Truth records make replay metrics possible and use a zero covariance.
+first. Truth records make replay metrics possible and carry no covariance
+(the reader ignores a "cov" key on one).
 The writer gives the robot a truth record at every step and a landmark one
 only when its pose differs from the last one written for it (a static
 landmark: once, at step 0); the reader accepts logs that repeat them.
@@ -18,8 +19,9 @@ checked as each line is read; the quaternion-norm and covariance PSD checks
 and the conversion to arrays run once per block of BLOCK_RECORDS lines. A
 pending block is checked before a later line's error is raised, so the error
 names the first malformed line in file order. Jacobian logs are checked the
-same way: a JSON-object header whose filter, mode and anchor
-observability.gauge_basis accepts, at least one step, an anchor of finite
+same way: a JSON-object header whose filter, mode and anchor pass the rule
+observability.gauge_basis applies (a check that builds no basis, so it costs
+nothing in proportion to num_features), at least one step, an anchor of finite
 positions if any (robot_pos, one feature_pos row per feature); finite
 entries, F and H shapes that fit the header's state dimension, steps in its
 range, an F for every step and an H for some (a missing one names line 1).
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import MalformedRecordError
 from .lie import quat_to_rot, rot_to_quat
-from .observability import FILTER_KINDS, JacobianLog, gauge_basis
+from .observability import FILTER_KINDS, JacobianLog, _check_gauge_rule
 from .types import Odometry, PoseObservation
 
 _KINDS = ("odom", "obs", "truth")
@@ -121,8 +123,7 @@ def write_measurement_log(path, odometry, observations, trace=None) -> None:
     is indexed by step (0 .. N). The robot's truth is written at every step,
     a landmark's only when it changes (landmark_truth_changes).
     """
-    zero = np.zeros((6, 6))
-    records = []  # (step, kind, feature id or None, rot, pos, cov) in file order
+    records = []  # (step, kind, feature id or None, rot, pos, cov or None) in file order
     changes = landmark_truth_changes(trace.states) if trace is not None else None
     for step, obs_list in enumerate(observations):
         if step > 0 and step - 1 < len(odometry):
@@ -130,8 +131,8 @@ def write_measurement_log(path, odometry, observations, trace=None) -> None:
             records.append((step, "odom", None, u.rot, u.pos, u.noise_cov))
         if trace is not None:
             s = trace.states[step]
-            records.append((step, "truth", None, s.robot_rot, s.robot_pos, zero))
-            records += [(step, "truth", fid, rot, pos, zero)
+            records.append((step, "truth", None, s.robot_rot, s.robot_pos, None))
+            records += [(step, "truth", fid, rot, pos, None)
                         for fid, rot, pos in next(changes)]
         records += [(step, "obs", z.feature_id, z.rot, z.pos, z.noise_cov)
                     for z in obs_list]
@@ -143,7 +144,8 @@ def write_measurement_log(path, odometry, observations, trace=None) -> None:
                 rec["feature_id"] = fid
             rec["rotation"] = quat.tolist()
             rec["position"] = np.asarray(pos, dtype=float).tolist()
-            rec["cov"] = np.asarray(cov, dtype=float)[_TRIU].tolist()
+            if cov is not None:
+                rec["cov"] = np.asarray(cov, dtype=float)[_TRIU].tolist()
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -331,7 +333,7 @@ def read_jacobian_log(path) -> JacobianLog:
         for row in rows:
             _finite_vector(row, "anchor feature_pos row", 3, 1)
     try:
-        gauge_basis(log)
+        _check_gauge_rule(log)
     except ValueError as exc:
         raise MalformedRecordError(f"line 1: bad jacobian-log header: {exc}") from None
     fs: dict[int, np.ndarray] = {}

@@ -4,16 +4,18 @@ The stacked matrix has rows H_k @ F_{k-1} @ ... @ F_0 (empty product for the
 first block). Null spaces are extracted by one thin SVD with a relative
 singular-value threshold; check_null_space compares the computed null space
 against the analytic gauge basis the log's filter and mode call for (global
-rotation + translation).
+rotation + translation). The three bases come from one block construction;
+the rule that picks one is checked apart from building it, so validating a
+Jacobian-log header builds no basis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .ekf import INVARIANT, STANDARD
 from .errors import DimensionMismatchError, RankToleranceError
-from .group import pos_block, rot_block, tangent_dim
+from .group import tangent_dim
 from .lie import skew
 
 DEFAULT_RANK_TOL = 1e-8
@@ -114,13 +116,9 @@ def subspace_contained(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def invariant_gauge_basis(num_features: int) -> np.ndarray:
-    """Analytic unobservable directions of the invariant error: stacked identities."""
-    k = num_features
-    n = np.zeros((tangent_dim(k), 6))
-    for i in range(k + 1):
-        n[rot_block(i), 0:3] = np.eye(3)
-        n[pos_block(i, k), 3:6] = np.eye(3)
-    return n
+    """Analytic unobservable directions of the invariant error: identities
+    stacked on the rotation blocks (columns 0:3) and position blocks (3:6)."""
+    return np.kron(np.eye(2), np.tile(np.eye(3), (num_features + 1, 1)))
 
 
 def std_ideal_gauge_basis(robot_pos: np.ndarray,
@@ -132,24 +130,15 @@ def std_ideal_gauge_basis(robot_pos: np.ndarray,
     columns carry delta_p = delta_theta x p, i.e. -skew(p) on each position
     block.
     """
-    k = len(feature_pos)
-    n = np.zeros((tangent_dim(k), 6))
-    for i in range(k + 1):
-        n[pos_block(i, k), 0:3] = np.eye(3)
-        n[rot_block(i), 3:6] = np.eye(3)
-    n[pos_block(0, k), 3:6] = -skew(robot_pos)
-    for j in range(k):
-        n[pos_block(j + 1, k), 3:6] = -skew(feature_pos[j])
+    p = np.vstack([robot_pos, np.reshape(feature_pos, (-1, 3))])
+    n = np.roll(invariant_gauge_basis(len(p) - 1), 3, axis=1)
+    n[3 * len(p):, 3:6] = np.vstack([-skew(v) for v in p])
     return n
 
 
 def std_estimated_gauge_basis(num_features: int) -> np.ndarray:
     """Only the global translation survives estimate-based linearization."""
-    k = num_features
-    n = np.zeros((tangent_dim(k), 3))
-    for i in range(k + 1):
-        n[pos_block(i, k), 0:3] = np.eye(3)
-    return n
+    return invariant_gauge_basis(num_features)[:, 3:6]
 
 
 @dataclass(frozen=True)
@@ -168,20 +157,23 @@ class ObservabilityReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "filter": self.filter_name,
-            "mode": self.mode,
-            "num_features": self.num_features,
-            "steps": self.steps,
-            "state_dim": self.state_dim,
-            "null_dim": self.null_dim,
-            "expected_dim": self.expected_dim,
-            "sigma_max": self.sigma_max,
-            "singular_values": list(map(float, self.singular_values)),
-            "basis_residual": self.basis_residual,
-            "containment_residual": self.containment_residual,
-            "passed": self.passed,
-        }
+        """The fields in order, filter_name as "filter", singular values as floats."""
+        d = {"filter" if f.name == "filter_name" else f.name: getattr(self, f.name)
+             for f in fields(self)}
+        d["singular_values"] = list(map(float, self.singular_values))
+        return d
+
+
+def _check_gauge_rule(log: JacobianLog) -> None:
+    """Raise ValueError unless the log's filter, mode and anchor call for a
+    gauge basis (a filter taken at truth has no estimated-mode log, and an
+    ideal-mode standard-filter log needs an anchor); builds no basis."""
+    convention, at_truth = FILTERS[log.filter_name]
+    if at_truth and log.mode == "estimated":
+        raise ValueError(f"filter {log.filter_name!r} is linearized at truth, "
+                         "so its log cannot have mode 'estimated'")
+    if convention is STANDARD and log.mode != "estimated" and log.anchor is None:
+        raise ValueError("an ideal-mode standard-filter log needs an anchor")
 
 
 def gauge_basis(log: JacobianLog) -> np.ndarray:
@@ -190,16 +182,11 @@ def gauge_basis(log: JacobianLog) -> np.ndarray:
     linearized at truth (anchored at the log's true positions), 3 (global
     translation) for the standard one linearized at its estimates. A filter
     taken at truth cannot have an estimated-mode log."""
-    convention, at_truth = FILTERS[log.filter_name]
-    if at_truth and log.mode == "estimated":
-        raise ValueError(f"filter {log.filter_name!r} is linearized at truth, "
-                         "so its log cannot have mode 'estimated'")
-    if convention is INVARIANT:
+    _check_gauge_rule(log)
+    if FILTERS[log.filter_name][0] is INVARIANT:
         return invariant_gauge_basis(log.num_features)
     if log.mode == "estimated":
         return std_estimated_gauge_basis(log.num_features)
-    if log.anchor is None:
-        raise ValueError("an ideal-mode standard-filter log needs an anchor")
     return std_ideal_gauge_basis(np.asarray(log.anchor["robot_pos"], dtype=float),
                                  np.asarray(log.anchor["feature_pos"], dtype=float))
 

@@ -561,3 +561,19 @@ def test_capture_window_ends_as_pinned(tmp_path, monkeypatch, kind, case):
         # the window opened on step 11; its last F has no successor step
         assert log.start_step == 11 and len(log.F) == len(log.H) > 0
         assert np.array_equal(log.F[-1], np.eye(log.state_dim))
+
+
+@pytest.mark.parametrize("kind", ["riekf", "stdekf", "ideal"])
+@pytest.mark.parametrize("jacobian_steps, counts", [(5, 5), (20, 8)])
+def test_stream_without_observations_opens_its_window_at_step_1(kind, jacobian_steps,
+                                                                counts):
+    # with nothing to observe the state holds every observed feature from
+    # step 0 on; the window's counts were recorded when run_filter tested the
+    # state's feature count after every step
+    _, run = small_sim()
+    res = run_filter(FilterSpec(kind), simulated_steps(run.odometry[:8], [[]] * 9),
+                     run.trace.states, jacobian_steps=jacobian_steps)
+    log = res.jacobian_log
+    assert not res.diverged and log.num_features == 0
+    assert (log.start_step, len(log.F), len(log.H)) == (1, counts, counts)
+    assert all(h is None for h in log.H)

@@ -123,8 +123,37 @@ def test_reader_accepts_both_truth_layouts(tmp_path):
             == [z.feature_id for z in old[step].observations]
 
 
-@pytest.mark.parametrize("filt", ["riekf", "stdekf"])
-def test_robust_replay_outputs_identical_on_both_truth_layouts(tmp_path, filt):
+def _cov_carrying_twin(path, twin):
+    """Write the log at path with the 21-entry zero "cov" that truth records
+    once carried, after their position."""
+    out = []
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        if rec["kind"] == "truth":
+            rec["cov"] = [0.0] * 21
+        out.append(json.dumps(rec) + "\n")
+    twin.write_text("".join(out))
+
+
+def test_cov_carrying_twin_is_the_earlier_writers_log(tmp_path):
+    # the four-loop log's digest (same platform caveat as below) from when
+    # truth records carried a zero cov
+    _, _, path = make_run(tmp_path, loops=4)
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert all(("cov" in r) == (r["kind"] != "truth") for r in recs)
+    twin = tmp_path / "twin.jsonl"
+    _cov_carrying_twin(path, twin)
+    assert hashlib.sha256(twin.read_bytes()).hexdigest()[:16] == "5f16bb83cf54fb4d"
+
+
+# a log and its twin in an earlier layout of truth records: landmark truth
+# repeated at every step, or truth records carrying a zero cov
+@pytest.mark.parametrize("filt, make_twin", [
+    ("riekf", _old_layout_twin), ("stdekf", _old_layout_twin),
+    ("riekf", _cov_carrying_twin), ("stdekf", _cov_carrying_twin),
+], ids=["riekf", "stdekf", "riekf-truth-cov", "stdekf-truth-cov"])
+def test_robust_replay_outputs_identical_on_both_truth_layouts(tmp_path, filt,
+                                                               make_twin):
     _, run, _ = make_run(tmp_path, seed=3)
     steps = {s: ReplayStep(observations=obs) for s, obs in enumerate(run.observations)}
     corrupted, injected = inject_outliers(steps, 0.05, 20.0, np.random.default_rng(4))
@@ -133,7 +162,7 @@ def test_robust_replay_outputs_identical_on_both_truth_layouts(tmp_path, filt):
     write_measurement_log(path, run.odometry,
                           [corrupted[s].observations for s in range(len(steps))],
                           trace=run.trace)
-    _old_layout_twin(path, twin)
+    make_twin(path, twin)
     outputs = []
     for log in (path, twin):
         out = tmp_path / f"out-{log.stem}"
@@ -618,6 +647,25 @@ def test_jacobian_log_missing_steps_name_the_header_line(tmp_path):
         read_jacobian_log(path)
 
 
+@pytest.mark.parametrize("filt", ["riekf", "stdekf"])
+def test_jacobian_log_header_check_needs_no_memory_per_feature(tmp_path, filt):
+    # the header's filter/mode rule once built the (6 + 6K) x 6 gauge basis
+    # from the unchecked num_features before any matrix line was read
+    path = tmp_path / "huge.txt"
+    header = {"filter": filt, "mode": "estimated", "num_features": 200000, "steps": 1}
+    path.write_text(json.dumps(header) + "\nF 0 1 1 1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedRecordError,
+                           match=re.escape("line 2: F shape (1, 1) does not fit "
+                                           "state dimension 1200006")):
+            read_jacobian_log(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_jacobian_log_non_utf8_byte_names_its_line(tmp_path):
     path, lines = _jacobian_log_lines(tmp_path)
     raw = path.read_bytes().split(b"\n")
@@ -678,15 +726,15 @@ def _stream_digest(steps):
 
 
 def test_four_loop_log_bytes_and_parsed_stream_digests(tmp_path):
-    # recorded when landmark truth was first written once per landmark: the
-    # log is, byte for byte, the earlier writer's log without its repeated
-    # landmark-truth lines; on x86-64 with numpy 2.4 and OpenBLAS, another
-    # BLAS build may round differently. The log's 1979 lines span four
-    # parse blocks.
+    # recorded when truth records lost their zero "cov": the log is, byte for
+    # byte, the earlier writer's log (5f16bb83cf54fb4d) without that key on
+    # its truth records, and it parses to the same stream; on x86-64 with
+    # numpy 2.4 and OpenBLAS, another BLAS build may round differently. The
+    # log's 1979 lines span four parse blocks.
     _, _, path = make_run(tmp_path, loops=4)
     data = path.read_bytes()
     assert len(data.splitlines()) > 3 * BLOCK_RECORDS
-    assert hashlib.sha256(data).hexdigest()[:16] == "5f16bb83cf54fb4d"
+    assert hashlib.sha256(data).hexdigest()[:16] == "ad2bd34bb954aedf"
     assert _stream_digest(read_measurement_log(path)) == "e7229a49ebe30775"
 
 

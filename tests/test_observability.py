@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from objectslam.errors import DimensionMismatchError, RankToleranceError
-from objectslam.group import pos_block, rot_block
+from objectslam.group import pos_block, rot_block, tangent_dim
 from objectslam.harness import observability_experiment
 from objectslam.lie import skew
 from objectslam.observability import (DEFAULT_RANK_TOL, JacobianLog,
@@ -246,3 +246,41 @@ def test_tolerance_that_would_null_every_direction_rejected():
         null_space(m, tol=0.2)
     # just below 1 / 5 the cutoff stays under sigma_max
     assert null_space(m, tol=0.19).dimension == 4
+
+
+def _loop_gauge_bases(robot_pos, feature_pos):
+    """The invariant, standard-ideal and standard-estimated bases as block
+    loops once built them, one 3 x 3 block at a time."""
+    k = len(feature_pos)
+    inv, ideal = np.zeros((tangent_dim(k), 6)), np.zeros((tangent_dim(k), 6))
+    est = np.zeros((tangent_dim(k), 3))
+    for i in range(k + 1):
+        inv[rot_block(i), 0:3] = inv[pos_block(i, k), 3:6] = np.eye(3)
+        ideal[pos_block(i, k), 0:3] = ideal[rot_block(i), 3:6] = np.eye(3)
+        est[pos_block(i, k), 0:3] = np.eye(3)
+    ideal[pos_block(0, k), 3:6] = -skew(robot_pos)
+    for j in range(k):
+        ideal[pos_block(j + 1, k), 3:6] = -skew(feature_pos[j])
+    return inv, ideal, est
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_gauge_bases_are_bit_identical_to_the_block_loops(k):
+    rng = np.random.default_rng(20 + k)
+    robot_pos, feature_pos = rng.normal(size=3), rng.normal(size=(k, 3))
+    built = (invariant_gauge_basis(k), std_ideal_gauge_basis(robot_pos, feature_pos),
+             std_estimated_gauge_basis(k))
+    for got, want in zip(built, _loop_gauge_bases(robot_pos, feature_pos)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def test_report_dict_keeps_its_key_order():
+    log, _ = observability_experiment("riekf", 1, 5, seed=14, noisy=True)
+    d = check_null_space(log).to_dict()
+    assert list(d) == ["filter", "mode", "num_features", "steps", "state_dim",
+                       "null_dim", "expected_dim", "sigma_max", "singular_values",
+                       "basis_residual", "containment_residual", "passed"]
+    assert d["filter"] == "riekf"
+    assert type(d["singular_values"]) is list
+    assert all(type(v) is float for v in d["singular_values"])
