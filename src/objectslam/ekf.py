@@ -4,8 +4,11 @@ The invariant and the standard filter differ only in the error definition
 (Barrau & Bonnabel, arXiv:1510.06263). Invariant: X_true = exp(xi) (+) X_hat,
 so F is the identity and only G depends on the estimate. Standard: per-block
 left rotation errors and additive position errors, which adds a lever-arm
-block to F, H and the augmentation map A. Jacobians can be linearized at
-another state than the estimate (the ideal variant passes ground truth).
+block to F, H and the augmentation map A. So the conventions differ in G (the
+invariant one is the standard G plus rotation noise in the position rows), one
+F block, one H block, one A block and the retraction. Jacobians can be
+linearized at another state than the estimate (the ideal variant passes
+ground truth).
 """
 
 import math
@@ -19,7 +22,7 @@ from .errors import (DuplicateFeatureError, FilterDivergedError,
                      IllConditionedInnovationError, UnknownFeatureError)
 from .group import (GroupState, group_compose, group_exp, pos_block, rot_block,
                     split_tangent, tangent_dim)
-from .lie import project_to_so3, skew, so3_exp, so3_log
+from .lie import _skews, project_to_so3, skew, so3_exp, so3_log
 from .metrics import invariant_error_vector, standard_error_vector
 from .types import FilterState, Innovation, Odometry, PoseObservation, symmetrize
 
@@ -96,6 +99,14 @@ def _augmented_rows(k: int) -> np.ndarray:
     off = 3 * (k + 1)
     return np.concatenate([np.arange(off), np.arange(3),
                            np.arange(off, 2 * off), np.arange(off, off + 3)])
+
+
+def _new_pose_noise(k: int, rot: np.ndarray):
+    """B's nonzero rows for K -> K+1, the new pose's indices, and their block
+    diag(-R, -R), which rotates the observation noise into the global frame."""
+    b = np.zeros((6, 6))
+    b[0:3, 0:3] = b[3:6, 3:6] = -rot
+    return np.r_[rot_block(k + 1), pos_block(k + 1, k + 1)], b
 
 
 @dataclass(frozen=True)
@@ -222,25 +233,17 @@ class Convention:
     def augmentation_jacobians(self, state: FilterState, z: PoseObservation):
         """Linear maps (A, B) with e_aug = A e + B v for a first-seen feature.
 
-        The new error blocks copy the robot blocks (A) and absorb the
-        observation noise rotated into the global frame (B).
+        initialize_feature's map as matrices: A is the row map _augmented_rows
+        plus the lever arm, if any, and B is the new-pose noise block.
         """
         k = state.mean.num_features
-        d = tangent_dim(k)
-        a = np.zeros((d + 6, d))
-        b = np.zeros((d + 6, 6))
-        new_rot = rot_block(k + 1)
-        new_pos = pos_block(k + 1, k + 1)
-        for i in range(k + 1):
-            a[rot_block(i), rot_block(i)] = np.eye(3)
-            a[pos_block(i, k + 1), pos_block(i, k)] = np.eye(3)
-        a[new_rot, rot_block(0)] = np.eye(3)
-        a[new_pos, pos_block(0, k)] = np.eye(3)
+        a = np.eye(tangent_dim(k))[_augmented_rows(k)]
         r = state.mean.robot_rot
         if self.lever_arm is not None:
-            a[new_pos, rot_block(0)] = self.lever_arm(r, z.pos)
-        b[new_rot, 0:3] = -r
-        b[new_pos, 3:6] = -r
+            a[pos_block(k + 1, k + 1), rot_block(0)] = self.lever_arm(r, z.pos)
+        rows, block = _new_pose_noise(k, r)
+        b = np.zeros((len(a), 6))
+        b[rows] = block
         return a, b
 
     def initialize_feature(self, state: FilterState, z: PoseObservation) -> FilterState:
@@ -259,8 +262,7 @@ class Convention:
         new_rot = mean.robot_rot @ z.rot
         new_pos = mean.robot_pos + mean.robot_rot @ z.pos
         rows = _augmented_rows(k)
-        r0 = rot_block(0)
-        n_rot, n_pos = rot_block(k + 1), pos_block(k + 1, k + 1)
+        r0, n_pos = rot_block(0), pos_block(k + 1, k + 1)
         ap = state.cov.take(rows, axis=0)
         if self.lever_arm is not None:
             lever = self.lever_arm(mean.robot_rot, z.pos)
@@ -268,9 +270,7 @@ class Convention:
         cov = ap.take(rows, axis=1)
         if self.lever_arm is not None:
             cov[:, n_pos] += ap[:, r0] @ lever.T
-        b = np.zeros((6, 6))
-        b[0:3, 0:3] = b[3:6, 3:6] = -mean.robot_rot
-        new = np.r_[n_rot, n_pos]
+        new, b = _new_pose_noise(k, mean.robot_rot)
         cov[np.ix_(new, new)] += b @ z.noise_cov @ b.T
         aug_mean = GroupState(
             mean.robot_rot,
@@ -284,17 +284,12 @@ class Convention:
 
 def _invariant_noise_jacobian(mean: GroupState, lin: GroupState,
                               u: Odometry) -> np.ndarray:
-    # rotation noise reaches every position block through skew(position) @ R;
-    # only the robot position feels translation noise
-    k = mean.num_features
-    r = lin.robot_rot
-    g = np.zeros((tangent_dim(k), 6))
-    g[rot_block(0), 0:3] = r
-    p_pred = lin.robot_pos + r @ u.pos
-    g[pos_block(0, k), 0:3] = skew(p_pred) @ r
-    g[pos_block(0, k), 3:6] = r
-    for j, fid in enumerate(mean.feature_ids):
-        g[pos_block(j + 1, k), 0:3] = skew(lin.feature_pos[lin.index_of(fid)]) @ r
+    # the standard G plus what the invariant error adds: rotation noise
+    # reaches the predicted robot position and every feature's as skew(p) @ R
+    g = _std_noise_jacobian(mean, lin, u)
+    p = np.array([lin.robot_pos + lin.robot_rot @ u.pos] + [
+        lin.feature_pos[lin.index_of(fid)] for fid in mean.feature_ids])
+    g[3 * len(p):, 0:3] = (_skews(p) @ lin.robot_rot).reshape(-1, 3)
     return g
 
 

@@ -4,7 +4,7 @@ Measurement logs carry one record per line with kinds "odom", "obs" and
 (optionally) "truth"; rotations travel as (w, x, y, z) unit quaternions and
 covariances as the 21 upper-triangle entries of the 6x6 matrix, rotation block
 first. Truth records make replay metrics possible and carry no covariance
-(the reader ignores a "cov" key on one).
+(the reader checks a "cov" key on one like any other, then ignores it).
 The writer gives the robot a truth record at every step and a landmark one
 only when its pose differs from the last one written for it (a static
 landmark: once, at step 0); the reader accepts logs that repeat them.
@@ -246,6 +246,8 @@ def read_measurement_log(path) -> dict:
             block.positions += pos
             fid = None
             if kind == "truth":
+                if "cov" in rec:  # checked as on any record, then ignored
+                    _finite_vector(rec["cov"], "cov", 21, lineno)
                 if "feature_id" in rec:
                     fid = _feature_id(rec, lineno)
                 else:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from objectslam.ekf import INVARIANT, STANDARD
-from objectslam.group import (group_compose, group_exp, rot_block, split_tangent,
-                              tangent_dim)
-from objectslam.lie import batch_so3_log, so3_exp, so3_log
+from objectslam.group import (GroupState, group_compose, group_exp, pos_block,
+                              rot_block, split_tangent, tangent_dim)
+from objectslam.lie import batch_so3_log, skew, so3_exp, so3_log
 from objectslam.types import Odometry, PoseObservation, symmetrize
 
 from test_riekf import random_filter_state
@@ -116,6 +116,69 @@ def test_block_augmentation_matches_dense_maps(conv, k):
     assert np.array_equal(state.cov, before)
     assert np.max(np.abs(out.cov - dense)) < 1e-12
     assert np.array_equal(out.cov, out.cov.T)
+
+
+def _same_bits(x, y):
+    return np.array_equal(x, y) and x.tobytes() == y.tobytes()
+
+
+def _block_loop_augmentation(conv, state, z):
+    """A and B built block by block, as augmentation_jacobians once did."""
+    k = state.mean.num_features
+    d = tangent_dim(k)
+    a = np.zeros((d + 6, d))
+    b = np.zeros((d + 6, 6))
+    new_rot = rot_block(k + 1)
+    new_pos = pos_block(k + 1, k + 1)
+    for i in range(k + 1):
+        a[rot_block(i), rot_block(i)] = np.eye(3)
+        a[pos_block(i, k + 1), pos_block(i, k)] = np.eye(3)
+    a[new_rot, rot_block(0)] = np.eye(3)
+    a[new_pos, pos_block(0, k)] = np.eye(3)
+    r = state.mean.robot_rot
+    if conv.lever_arm is not None:
+        a[new_pos, rot_block(0)] = conv.lever_arm(r, z.pos)
+    b[new_rot, 0:3] = -r
+    b[new_pos, 3:6] = -r
+    return a, b
+
+
+@pytest.mark.parametrize("conv", (INVARIANT, STANDARD), ids=lambda c: c.name)
+@pytest.mark.parametrize("k", (0, 1, 3, 6))
+def test_augmentation_maps_equal_the_block_loops(conv, k):
+    rng, state, _, _ = _setup(90 + k, k)
+    z = PoseObservation("new", so3_exp(rng.normal(size=3)), rng.normal(size=3),
+                        np.eye(6))
+    a, b = conv.augmentation_jacobians(state, z)
+    ref_a, ref_b = _block_loop_augmentation(conv, state, z)
+    assert _same_bits(a, ref_a) and _same_bits(b, ref_b)
+
+
+def _feature_loop_invariant_g(mean, lin, u):
+    """The invariant G built feature by feature, as it once was."""
+    k = mean.num_features
+    r = lin.robot_rot
+    g = np.zeros((tangent_dim(k), 6))
+    g[rot_block(0), 0:3] = r
+    g[pos_block(0, k), 0:3] = skew(lin.robot_pos + r @ u.pos) @ r
+    g[pos_block(0, k), 3:6] = r
+    for j, fid in enumerate(mean.feature_ids):
+        g[pos_block(j + 1, k), 0:3] = skew(lin.feature_pos[lin.index_of(fid)]) @ r
+    return g
+
+
+@pytest.mark.parametrize("k", (0, 1, 6))
+def test_invariant_noise_jacobian_equals_the_feature_loop(k):
+    rng, state, lin, _ = _setup(100 + k, k)
+    # the linearization state lists its features in reverse, so G must look
+    # each one up by id
+    rev = np.arange(k)[::-1]
+    lin = GroupState(lin.robot_rot, lin.robot_pos, lin.feature_rots[rev],
+                     lin.feature_pos[rev], tuple(lin.feature_ids[i] for i in rev))
+    u = Odometry(so3_exp(0.1 * rng.normal(size=3)), rng.normal(size=3), np.eye(6))
+    for linearization in (state.mean, lin):
+        _, g = INVARIANT.propagation_jacobians(state, u, linearization)
+        assert _same_bits(g, _feature_loop_invariant_g(state.mean, linearization, u))
 
 
 @pytest.mark.parametrize("conv", (INVARIANT, STANDARD), ids=lambda c: c.name)

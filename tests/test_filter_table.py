@@ -28,17 +28,29 @@ def test_unknown_filter_name_rejected():
 
 
 def _name_comparisons(path: Path) -> list:
-    """Lines of path that compare a value with a filter-name literal."""
+    """Lines of path that compare a value with a filter-name literal. A
+    Jacobian-log mode ("ideal" is one too) compared through a `.mode`
+    attribute is not a filter name."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left, *node.comparators]
+        if any(isinstance(o, ast.Attribute) and o.attr == "mode" for o in operands):
+            continue
         if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and any(
                 isinstance(o, ast.Constant) and o.value in FILTER_KINDS
                 for o in operands):
             found.append(f"{path.name}:{node.lineno}")
     return found
+
+
+def test_name_check_skips_jacobian_log_modes(tmp_path):
+    path = tmp_path / "snippet.py"
+    path.write_text('anchored = log.mode == "ideal"\n'
+                    'at_truth = spec.kind == "ideal"\n'
+                    'other = "stdekf" != name\n')
+    assert _name_comparisons(path) == ["snippet.py:2", "snippet.py:3"]
 
 
 def test_filter_names_resolve_only_through_the_table():

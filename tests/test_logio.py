@@ -146,6 +146,30 @@ def test_cov_carrying_twin_is_the_earlier_writers_log(tmp_path):
     assert hashlib.sha256(twin.read_bytes()).hexdigest()[:16] == "5f16bb83cf54fb4d"
 
 
+def test_zero_truth_covs_parse_to_the_same_stream(tmp_path):
+    _, _, path = make_run(tmp_path)
+    twin = tmp_path / "twin.jsonl"
+    _cov_carrying_twin(path, twin)
+    assert _stream_digest(read_measurement_log(twin)) \
+        == _stream_digest(read_measurement_log(path))
+
+
+# a truth record's cov is checked like any other before it is ignored
+@pytest.mark.parametrize("feature", ['', '"feature_id": "a", '], ids=["robot", "landmark"])
+@pytest.mark.parametrize("cov, message", [
+    ('"not a covariance"', "cov needs 21 entries, got str"),
+    ("[0.0]", "cov needs 21 entries, got 1 entries"),
+    ("[1e999" + ", 0.0" * 20 + "]", "cov has non-finite entries"),
+], ids=["string", "one-entry", "overflow"])
+def test_malformed_truth_cov_rejected(tmp_path, feature, cov, message):
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(_obs()) + "\n" + '{"step": 1, "kind": "truth", '
+                    + feature + '"rotation": [1, 0, 0, 0], "position": [0, 0, 0], '
+                    + '"cov": ' + cov + "}\n")
+    with pytest.raises(MalformedRecordError, match=f"line 2: {message}"):
+        read_measurement_log(path)
+
+
 # a log and its twin in an earlier layout of truth records: landmark truth
 # repeated at every step, or truth records carrying a zero cov
 @pytest.mark.parametrize("filt, make_twin", [
