@@ -17,7 +17,7 @@ from .lie import rot_to_quat
 from .logio import read_jacobian_log, read_measurement_log, write_jacobian_log
 from .observability import FILTER_KINDS, check_null_space
 from .oracles import jacobian_check_suite
-from .simulator import SimConfig
+from .simulator import NOISE_STDDEV, SimConfig
 
 
 def _positive_int(text: str) -> int:
@@ -57,11 +57,16 @@ def _sim_config(args) -> SimConfig:
     cfg = SimConfig(num_features=args.num_features, loops=args.loops,
                     seed=args.seed)
     if args.sigma or args.omega:
-        cfg = cfg.with_noise(args.sigma or [0.1] * 6, args.omega or [0.1] * 6)
+        cfg = cfg.with_noise(args.sigma or [NOISE_STDDEV] * 6,
+                             args.omega or [NOISE_STDDEV] * 6)
     return cfg
 
 
 def _cmd_simulate(args) -> int:
+    if args.emit_jacobian_log and not args.out:
+        print("--emit-jacobian-log requires --out (the logs go there)",
+              file=sys.stderr)
+        return 2
     cfg = RunConfig(
         sim=_sim_config(args),
         filters=_filter_specs(args.filter, args.robust),
@@ -91,14 +96,18 @@ def _write_poses(path, key: str, keys, rots, positions) -> None:
 
 
 def _cmd_replay(args) -> int:
+    if args.synth_odom and args.odom_sigma is None:
+        print("--synth-odom requires --odom-sigma (no default exists)",
+              file=sys.stderr)
+        return 2
+    if args.odom_sigma is not None and not args.synth_odom:
+        print("--odom-sigma requires --synth-odom (it sets the synthesized "
+              "odometry's noise)", file=sys.stderr)
+        return 2
     steps = read_measurement_log(args.log)
     spec = FilterSpec(args.filter, robust=args.robust)
     synth_cov = None
     if args.synth_odom:
-        if args.odom_sigma is None:
-            print("--synth-odom requires --odom-sigma (no default exists)",
-                  file=sys.stderr)
-            return 2
         synth_cov = np.diag(np.asarray(args.odom_sigma, dtype=float) ** 2)
     try:
         result = run_filter(spec, steps, synth_noise_cov=synth_cov)
@@ -133,6 +142,10 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_observability(args) -> int:
+    if args.jacobian_log and args.save_log:
+        print("--save-log cannot be used with --jacobian-log (the log is "
+              "read, not computed)", file=sys.stderr)
+        return 2
     if args.jacobian_log:
         log = read_jacobian_log(args.jacobian_log)
     else:

@@ -25,7 +25,8 @@ from .logio import (ReplayStep, landmark_truth_changes, write_jacobian_log,
                     write_measurement_log)
 from .metrics import BLOCKS, collect_samples, nees, rmse, standard_error_vector
 from .observability import FILTERS, JacobianLog
-from .simulator import SimConfig, _noise_factor, generate_world, simulate_run
+from .simulator import (STEPS_PER_LOOP, SimConfig, _noise_factor,
+                        generate_world, simulate_run)
 from .types import FilterState, Odometry, PoseObservation, initial_filter_state
 
 # a run whose standard error norm exceeds this at an evaluated step diverged
@@ -438,7 +439,7 @@ def observability_experiment(kind: str, num_features: int, steps: int,
     no step past it is filtered. The ideal variant runs on noise-free data so
     its linearization premise holds exactly.
     """
-    loops = max(1, math.ceil((steps + 5) / 80))
+    loops = max(1, math.ceil((steps + 5) / STEPS_PER_LOOP))
     cfg = SimConfig(num_features=num_features, loops=loops, seed=seed,
                     placement="central")
     rng = np.random.default_rng(seed)

@@ -1,7 +1,9 @@
 """Synthetic world: circular trajectory, odometry, and range-gated pose observations.
 
-The robot drives a planar circle (constant linear and angular speed, one loop
-every 2*pi/(angular_speed*dt) steps) among randomly oriented object features.
+The robot drives a planar circle, turning STEP_TURN and advancing
+STEP_DISTANCE each step (one loop every STEPS_PER_LOOP steps), among randomly
+oriented object features, and senses each one between SENSE_MIN and
+SENSE_MAX away.
 Noise enters exactly like the filter models expect: rotation noise multiplies
 the odometry/observation rotation on the left, translation noise is additive
 in the body frame.
@@ -14,24 +16,26 @@ from itertools import islice
 import numpy as np
 
 from .ekf import propagate_mean
-from .group import GroupState
+from .group import GroupState, _rotate
 from .lie import random_rotation, so3_exp
 from .types import Odometry, PoseObservation
 
 
+STEP_TURN = math.pi / 40.0
+STEP_DISTANCE = 0.1
+STEPS_PER_LOOP = round(2.0 * math.pi / STEP_TURN)
+SENSE_MIN, SENSE_MAX = 0.5, 2.0
+NOISE_STDDEV = 0.1  # each odometry and observation axis unless set
+
+
 def _default_noise() -> np.ndarray:
-    return np.diag([0.1 ** 2] * 6)
+    return np.diag([NOISE_STDDEV ** 2] * 6)
 
 
 @dataclass(frozen=True)
 class SimConfig:
     num_features: int = 6
     loops: int = 25
-    linear_speed: float = 0.1
-    angular_speed: float = math.pi / 40.0
-    sense_min: float = 0.5
-    sense_max: float = 2.0
-    step_dt: float = 1.0
     sigma: np.ndarray = field(default_factory=_default_noise)
     omega: np.ndarray = field(default_factory=_default_noise)
     seed: int = 0
@@ -39,36 +43,14 @@ class SimConfig:
                              # "central" keeps them always inside sensing range
 
     def __post_init__(self):
-        if not 0.0 <= self.sense_min < self.sense_max:
-            raise ValueError("sensing range needs 0 <= min < max")
-        if self.step_dt <= 0.0 or self.loops < 0 or self.num_features < 0:
-            raise ValueError("step_dt must be positive; loops and "
-                             "num_features non-negative")
+        if self.loops < 0 or self.num_features < 0:
+            raise ValueError("loops and num_features must be non-negative")
         if self.placement not in ("ring", "central"):
             raise ValueError(f"unknown placement {self.placement!r}")
-        # zero is allowed: step_odometry stands still, but no loop closes
-        if not self.angular_speed >= 0.0:
-            raise ValueError(f"angular_speed must be non-negative, "
-                             f"got {self.angular_speed!r}")
-
-    def _positive_angular_speed(self, quantity: str) -> float:
-        if self.angular_speed == 0.0:
-            raise ValueError(f"{quantity} needs a positive angular_speed, got 0")
-        return self.angular_speed
-
-    @property
-    def circle_radius(self) -> float:
-        """Radius of the driven circle."""
-        return self.linear_speed / self._positive_angular_speed("circle_radius")
-
-    @property
-    def steps_per_loop(self) -> int:
-        turn = self._positive_angular_speed("steps_per_loop") * self.step_dt
-        return int(round(2.0 * math.pi / turn))
 
     @property
     def num_steps(self) -> int:
-        return self.loops * self.steps_per_loop
+        return self.loops * STEPS_PER_LOOP
 
     def with_noise(self, sigma_diag, omega_diag) -> "SimConfig":
         return replace(self, sigma=np.diag(np.asarray(sigma_diag, dtype=float) ** 2),
@@ -82,10 +64,6 @@ class GroundTruthTrace:
     states: list
     odometry: list
     visible: list
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.odometry)
 
 
 @dataclass
@@ -105,8 +83,8 @@ class SimulatedRun:
 def step_odometry(cfg: SimConfig) -> Odometry:
     """Noise-free per-step increment: turn about body z, advance along body x."""
     return Odometry(
-        so3_exp(np.array([0.0, 0.0, cfg.angular_speed * cfg.step_dt])),
-        np.array([cfg.linear_speed * cfg.step_dt, 0.0, 0.0]),
+        so3_exp(np.array([0.0, 0.0, STEP_TURN])),
+        np.array([STEP_DISTANCE, 0.0, 0.0]),
         cfg.sigma,
     )
 
@@ -115,7 +93,7 @@ def _trajectory_center(cfg: SimConfig) -> np.ndarray:
     u = step_odometry(cfg)
     pose = GroupState(np.eye(3), np.zeros(3))
     pts = [pose.robot_pos]
-    for _ in range(cfg.steps_per_loop):
+    for _ in range(STEPS_PER_LOOP):
         pose = propagate_mean(pose, u)
         pts.append(pose.robot_pos)
     return np.mean(pts[:-1], axis=0)
@@ -139,7 +117,7 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroupState:
             radius = rng.uniform(0.0, 0.7)
         else:
             offset = rng.uniform(0.6, 1.2)
-            radius = cfg.circle_radius + (offset if j % 2 == 0 else -offset)
+            radius = STEP_DISTANCE / STEP_TURN + (offset if j % 2 == 0 else -offset)
         pos[j] = center + radius * direction
         pos[j, 2] = rng.uniform(-0.2, 0.2)
         rots[j] = random_rotation(rng)
@@ -147,11 +125,11 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroupState:
     return GroupState(np.eye(3), np.zeros(3), rots, pos, ids)
 
 
-def _visible_ids(state: GroupState, cfg: SimConfig) -> list:
+def _visible_ids(state: GroupState) -> list:
     if state.num_features == 0:
         return []
     dist = np.linalg.norm(state.feature_pos - state.robot_pos, axis=1)
-    mask = (dist >= cfg.sense_min) & (dist <= cfg.sense_max)
+    mask = (dist >= SENSE_MIN) & (dist <= SENSE_MAX)
     return [state.feature_ids[j] for j in np.nonzero(mask)[0]]
 
 
@@ -160,7 +138,7 @@ def generate_trajectory(cfg: SimConfig, world: GroupState) -> GroundTruthTrace:
     states = [world]
     for _ in range(cfg.num_steps):
         states.append(propagate_mean(states[-1], u))
-    visible = [_visible_ids(s, cfg) for s in states]
+    visible = [_visible_ids(s) for s in states]
     return GroundTruthTrace(states, [u] * cfg.num_steps, visible)
 
 
@@ -180,12 +158,6 @@ def perturb_odometry(u: Odometry, w: np.ndarray) -> Odometry:
     return Odometry(so3_exp(w[..., 0:3]) @ u.rot, u.pos + w[..., 3:6], u.noise_cov)
 
 
-def _apply(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Matrix-vector products m @ z over the leading axes of m and z, each
-    bit for bit the 2-D product (z @ m.T rounds differently)."""
-    return (m @ z[..., None])[..., 0]
-
-
 def _relative_poses(world: GroupState, trace: GroundTruthTrace,
                     v: np.ndarray) -> tuple:
     """Rotations (M, 3, 3) and positions (M, 3) of the M visible features
@@ -196,7 +168,7 @@ def _relative_poses(world: GroupState, trace: GroundTruthTrace,
     robot_pos = np.stack([s.robot_pos for s in trace.states])[at]
     rt = np.stack([s.robot_rot for s in trace.states])[at].swapaxes(-1, -2)
     rots = so3_exp(v[:, 0:3]) @ rt @ world.feature_rots[feats]
-    return rots, _apply(rt, world.feature_pos[feats] - robot_pos) + v[:, 3:6]
+    return rots, _rotate(rt, world.feature_pos[feats] - robot_pos) + v[:, 3:6]
 
 
 def simulate_run(cfg: SimConfig, world: GroupState, rng: np.random.Generator,
@@ -215,8 +187,8 @@ def simulate_run(cfg: SimConfig, world: GroupState, rng: np.random.Generator,
     counts = [len(ids) for ids in trace.visible]
     draws = rng.standard_normal((n + sum(counts), 6))
     odom_rows = np.cumsum(counts[:-1], dtype=int) + np.arange(n)
-    noises = _apply(noise_scale * _noise_factor(cfg.sigma), draws[odom_rows])
-    rots, pos = _relative_poses(world, trace, _apply(
+    noises = _rotate(noise_scale * _noise_factor(cfg.sigma), draws[odom_rows])
+    rots, pos = _relative_poses(world, trace, _rotate(
         noise_scale * _noise_factor(cfg.omega), np.delete(draws, odom_rows, axis=0)))
     del draws  # not kept alive while the per-measurement objects are made
 

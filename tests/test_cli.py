@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from objectslam import cli
 from objectslam.cli import main
 from objectslam.logio import read_measurement_log, write_measurement_log
 from objectslam.simulator import SimConfig, generate_world, simulate_run
@@ -64,9 +65,36 @@ def test_replay_synth_odom_requires_sigma(tmp_path, capsys):
     log_path = tmp_path / "run.jsonl"
     main(["simulate", "--filter", "riekf", "--runs", "1", "--loops", "1",
           "--seed", "6", "--eval-stride", "40", "--export-log", str(log_path)])
-    rc = main(["replay", "--log", str(log_path), "--synth-odom"])
-    assert rc == 2
-    assert "odom-sigma" in capsys.readouterr().err
+    capsys.readouterr()
+    # each flag of the pair does nothing without the other
+    for flags, named in ((["--synth-odom"], "--odom-sigma"),
+                         (["--odom-sigma", *["0.1"] * 6], "--synth-odom")):
+        rc = main(["replay", "--log", str(log_path), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--runs", "1", "--loops", "1", "--emit-jacobian-log"],
+     "--emit-jacobian-log"),
+    (["observability", "--jacobian-log", "jac.txt", "--save-log", "copy.txt"],
+     "--save-log"),
+], ids=["simulate-without-out", "observability-recheck"])
+def test_flag_that_writes_nothing_exits_2(tmp_path, capsys, monkeypatch, argv, flag):
+    main(["observability", "--num-features", "1", "--steps", "12", "--seed", "2",
+          "--save-log", str(tmp_path / "jac.txt")])
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a refused command started a run")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+    assert [p.name for p in tmp_path.iterdir()] == ["jac.txt"]
 
 
 def test_observability_command_riekf(tmp_path, capsys):
