@@ -200,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-stride", type=_positive_int, default=50)
     p.add_argument("--zero-noise", action="store_true",
                    help="noise-free measurements (filter covariances unchanged)")
-    p.add_argument("--emit-jacobian-log", action="store_true")
+    p.add_argument("--emit-jacobian-log", action="store_true",
+                   help="write run 0's (F, H) Jacobians, anchored at truth, as "
+                        "jacobians-<filter>.txt in --out, one per filter")
     p.add_argument("--export-log", metavar="PATH",
                    help="write run 0's measurement log (with truth records)")
     p.add_argument("--out", metavar="DIR", help="output directory")

@@ -19,11 +19,12 @@ from .ekf import Convention
 from .errors import (FilterDivergedError, IllConditionedInnovationError,
                      LogDomainError, MissingOdometryError)
 from .gating import gate
-from .group import GroupState
-from .lie import so3_exp, so3_log
+from .group import GroupState, split_tangent
+from .lie import so3_exp
 from .logio import (ReplayStep, landmark_truth_changes, write_jacobian_log,
                     write_measurement_log)
-from .metrics import BLOCKS, collect_samples, nees, rmse, standard_error_vector
+from .metrics import (BLOCKS, collect_samples, nees, restrict_to, rmse,
+                      standard_error_vector)
 from .observability import FILTERS, JacobianLog
 from .simulator import (STEPS_PER_LOOP, SimConfig, _noise_factor,
                         generate_world, simulate_run)
@@ -148,10 +149,12 @@ def run_filter(spec: FilterSpec, steps: dict,
     at step s moves step s-1 to s; a step without one gets constant-velocity
     odometry synthesized from the trajectory so far, which needs
     synth_noise_cov. The ideal variant and any metric sampling need
-    truth_states. With jacobian_steps set, the (F, H) Jacobians of up to that
-    many steps are captured, starting on the step after the stream's last
-    first sighting of a feature (_capture_window), when the state holds every
-    feature the stream observes. A filter failure ends the run as diverged,
+    truth_states. With jacobian_steps set, result.jacobian_log is the finished
+    log of up to that many steps of (F, H), from the step after the stream's
+    last first sighting of a feature (_capture_window), when the state holds
+    every feature the stream observes; with truth_states it is anchored at
+    the window's first true state, features in the filter state's order.
+    A filter failure ends the run as diverged,
     with reason "step N: cause". final_state is the estimate of the last
     trajectory row, so a failure never leaves the failing step's state.
     """
@@ -160,13 +163,13 @@ def run_filter(spec: FilterSpec, steps: dict,
         raise ValueError("ideal filter needs ground-truth states")
     if eval_steps and truth_states is None:
         raise ValueError("metric sampling needs ground-truth states")
-    window = range(0)  # the steps whose H is captured
+    window, log = range(0), None  # the steps whose H is captured, and their log
     if jacobian_steps is not None:
         start, observed = _capture_window(steps)
         window = range(start, start + jacobian_steps)
+        log = JacobianLog(spec.kind, "ideal" if at_truth else "estimated", observed)
     state = initial_filter_state()
-    result = RunResult(spec, state, [])
-    log_f, log_h = [], []
+    result = RunResult(spec, state, [], jacobian_log=log)
     # running sum of the body-frame increments between recorded estimates;
     # it starts at the first increment, not at zeros, so it is the sum that
     # np.sum over all of them forms (a -0.0 component stays -0.0)
@@ -192,13 +195,19 @@ def run_filter(spec: FilterSpec, steps: dict,
                             increment_sum, increments, synth_noise_cov)
                     # F entries are the transitions out of the window's steps
                     if step - 1 in window:
-                        log_f.append(conv.propagation_jacobians(state, u, lin_prev)[0])
+                        log.F.append(conv.propagation_jacobians(state, u, lin_prev)[0])
                     state = conv.propagate(state, u, lin_prev)
                 if step in window:
+                    if step == window.start:
+                        log.start_step = step
+                        if truth_states is not None:
+                            t = restrict_to(truth_states[step], state.mean.feature_ids)
+                            log.anchor = {"robot_pos": t.robot_pos.tolist(),
+                                          "feature_pos": t.feature_pos.tolist()}
                     rows = [conv.observation_jacobian(
                         state.mean, state.mean.index_of(z.feature_id), lin_here)
                         for z in rec.observations]
-                    log_h.append(np.vstack(rows) if rows else None)
+                    log.H.append(np.vstack(rows) if rows else None)
                 for z in rec.observations:
                     state = _process_observation(spec, state, z, lin_here,
                                                  result.gates, step)
@@ -220,15 +229,9 @@ def run_filter(spec: FilterSpec, steps: dict,
                 result.diverged = True
                 result.reason = f"step {step}: {exc}"
                 break
-    if jacobian_steps is not None:
-        mode = "ideal" if at_truth else "estimated"
-        log = JacobianLog(spec.kind, mode, observed,
-                          start_step=window.start if log_h else 0)
+    if log is not None:
         # a run that ended inside the window has no F out of its last step
-        log_f += [np.eye(log.state_dim) for _ in range(len(log_h) - len(log_f))]
-        for f, h in zip(log_f, log_h):
-            log.append(f, h)
-        result.jacobian_log = log
+        log.F += [np.eye(log.state_dim) for _ in range(len(log.H) - len(log.F))]
     return result
 
 
@@ -247,34 +250,34 @@ def replay_metrics(steps: dict, result: RunResult) -> dict | None:
     over the run's trajectory, feature RMSE of the final state against each
     landmark's latest truth record (a log writes one only when the landmark
     moves); None when no step of the trajectory has truth."""
-    robot_err = []
-    for step, (rot, pos) in enumerate(result.trajectory):
-        rec = steps.get(step)
-        if rec is not None and rec.truth_robot is not None:
-            r_t, p_t = rec.truth_robot
-            robot_err.append(np.concatenate([so3_log(r_t @ rot.T), p_t - pos]))
-    if not robot_err:
+    timed = [s for s in range(len(result.trajectory))
+             if s in steps and steps[s].truth_robot is not None]
+    if not timed:
         return None
-    errs = np.asarray(robot_err)
+    true_rot, true_pos = map(np.array, zip(*(steps[s].truth_robot for s in timed)))
+    est_rot, est_pos = map(np.array, zip(*(result.trajectory[s] for s in timed)))
+    no_features = (np.zeros((len(timed), 0, 3, 3)), np.zeros((len(timed), 0, 3)))
+    rot_err, pos_err = split_tangent(standard_error_vector(
+        GroupState(true_rot, true_pos, *no_features),
+        GroupState(est_rot, est_pos, *no_features)), 0)
     metrics = {
-        "robot_rot_rmse": rmse(errs[:, 0:3]),
-        "robot_pos_rmse": rmse(errs[:, 3:6]),
-        "final_robot_rot_error": float(np.linalg.norm(errs[-1, 0:3])),
-        "final_robot_pos_error": float(np.linalg.norm(errs[-1, 3:6])),
+        "robot_rot_rmse": rmse(rot_err[:, 0]),
+        "robot_pos_rmse": rmse(pos_err[:, 0]),
+        "final_robot_rot_error": float(np.linalg.norm(rot_err[-1, 0])),
+        "final_robot_pos_error": float(np.linalg.norm(pos_err[-1, 0])),
     }
     mean = result.final_state.mean
     truth = {}
     for step in sorted(steps):
         truth.update(steps[step].truth_features)
-    f_rot, f_pos = [], []
-    for fid, (r_t, p_t) in truth.items():
-        if fid in mean.feature_ids:
-            j = mean.index_of(fid)
-            f_rot.append(so3_log(r_t @ mean.feature_rots[j].T))
-            f_pos.append(p_t - mean.feature_pos[j])
-    if f_rot:
-        metrics["feature_rot_rmse"] = rmse(np.asarray(f_rot))
-        metrics["feature_pos_rmse"] = rmse(np.asarray(f_pos))
+    ids = tuple(fid for fid in truth if fid in mean.feature_ids)
+    if ids:
+        est = restrict_to(mean, ids)
+        true = replace(est, feature_rots=np.array([truth[fid][0] for fid in ids]),
+                       feature_pos=np.array([truth[fid][1] for fid in ids]))
+        rot_err, pos_err = split_tangent(standard_error_vector(true, est), len(ids))
+        metrics["feature_rot_rmse"] = rmse(rot_err[1:])
+        metrics["feature_pos_rmse"] = rmse(pos_err[1:])
     return metrics
 
 
@@ -329,7 +332,7 @@ def _mc_worker(args):
     for spec in cfg.filters:
         out[spec.name] = run_filter(
             spec, steps, sim.trace.states, eval_steps=eval_steps,
-            jacobian_steps=200 if capture and not spec.at_truth else None)
+            jacobian_steps=200 if capture else None)
         # aggregation never reads the poses, so no run holds or pickles them
         out[spec.name].trajectory = []
     return run_index, out
@@ -354,7 +357,6 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
 
     summary = {"seed": cfg.sim.seed, "runs": cfg.runs, "num_steps": n, "filters": {}}
     per_filter_rows = {}
-    jac_logs = {}
     for spec in cfg.filters:
         name = spec.name
         diverged = [i for i, out in results if out[name].diverged]
@@ -382,8 +384,6 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
             "rejected_observations": sum(out[name].rejected for _, out in results),
             "final": final,
         }
-        if cfg.emit_jacobian_log and results[0][1][name].jacobian_log is not None:
-            jac_logs[name] = results[0][1][name].jacobian_log
 
     if cfg.out_dir is not None:
         out_dir = Path(cfg.out_dir)
@@ -398,8 +398,9 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
             json.dump(summary, fh, indent=2)
         with open(out_dir / "summary.txt", "w") as fh:
             fh.write(format_summary_table(summary))
-        for name, log in jac_logs.items():
-            write_jacobian_log(out_dir / f"jacobians-{name}.txt", log)
+        if cfg.emit_jacobian_log:
+            for name, res in results[0][1].items():
+                write_jacobian_log(out_dir / f"jacobians-{name}.txt", res.jacobian_log)
     return summary
 
 
@@ -434,10 +435,10 @@ def observability_experiment(kind: str, num_features: int, steps: int,
                              seed: int, noisy: bool = True) -> tuple:
     """Run a filter on an always-in-range world and capture its Jacobians.
 
-    Returns (JacobianLog, true state at the window's first step). The
-    stream is cut after the capture window's last step (_capture_window), so
-    no step past it is filtered. The ideal variant runs on noise-free data so
-    its linearization premise holds exactly.
+    Returns (JacobianLog, true state at the window's first step, where
+    run_filter anchors the log). The stream is cut after the capture window's
+    last step (_capture_window), so no step past it is filtered. A noise-free
+    run's log is labelled ideal: its estimates coincide with truth.
     """
     loops = max(1, math.ceil((steps + 5) / STEPS_PER_LOOP))
     cfg = SimConfig(num_features=num_features, loops=loops, seed=seed,
@@ -453,10 +454,5 @@ def observability_experiment(kind: str, num_features: int, steps: int,
                         run.trace.states, jacobian_steps=steps)
     log = result.jacobian_log
     if not noisy:
-        # estimates coincide with truth on noise-free data
         log.mode = "ideal"
-    anchor_state = run.trace.states[log.start_step]
-    log.anchor = {"robot_pos": [float(v) for v in anchor_state.robot_pos],
-                  "feature_pos": [[float(v) for v in p]
-                                  for p in anchor_state.feature_pos]}
-    return log, anchor_state
+    return log, run.trace.states[log.start_step]

@@ -143,15 +143,49 @@ def test_full_rank_observability_report_is_strict_json(tmp_path, capsys):
         assert report["containment_residual"] is None
 
 
-def test_emit_jacobian_log(tmp_path):
-    rc = main(["simulate", "--filter", "riekf", "--runs", "1", "--loops", "1",
-               "--seed", "8", "--eval-stride", "40", "--emit-jacobian-log",
-               "--out", str(tmp_path / "res")])
-    assert rc == 0
-    path = tmp_path / "res" / "jacobians-riekf.txt"
-    assert path.exists()
-    rc = main(["observability", "--jacobian-log", str(path)])
-    assert rc == 0
+def test_emit_jacobian_log(tmp_path, capsys):
+    names = ["jacobians-ideal.txt", "jacobians-riekf.txt", "jacobians-stdekf.txt"]
+    for jobs in ("1", "2"):
+        rc = main(["simulate", "--filter", "all", "--runs", "1", "--loops", "1",
+                   "--seed", "8", "--eval-stride", "40", "--emit-jacobian-log",
+                   "--jobs", jobs, "--out", str(tmp_path / jobs)])
+        assert rc == 0
+        assert sorted(p.name for p in (tmp_path / jobs).glob("jacobians-*")) == names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    for filt in ("riekf", "stdekf"):
+        assert main(["observability", "--jacobian-log",
+                     str(tmp_path / "1" / f"jacobians-{filt}.txt")]) == 0
+    capsys.readouterr()
+    main(["observability", "--jacobian-log", str(tmp_path / "1" / names[0])])
+    report = json.loads(capsys.readouterr().out)
+    # on noisy data the ideal filter keeps 3 of its 6 gauge directions (a
+    # known defect of its linearization), so whether it passes is not asserted
+    assert (report["filter"], report["mode"], report["expected_dim"]) == \
+        ("ideal", "ideal", 6)
+    # the anchor is run 0's true state at the window's first step, with the
+    # features in the filter state's order (first sighting)
+    cfg = SimConfig(loops=1, seed=8)
+    world = generate_world(cfg, np.random.default_rng(8))
+    run = simulate_run(cfg, world, np.random.default_rng(8))
+    order = list(dict.fromkeys(z.feature_id for obs in run.observations for z in obs))
+    header = json.loads((tmp_path / "1" / names[0]).read_text().splitlines()[0])
+    truth = run.trace.states[header["start_step"]]
+    assert header["anchor"] == {
+        "robot_pos": truth.robot_pos.tolist(),
+        "feature_pos": [truth.feature_pos[truth.index_of(fid)].tolist()
+                        for fid in order]}
+
+
+def test_noise_free_ideal_jacobian_log_passes(tmp_path):
+    # features are first seen out of world order, so an anchor in world
+    # order would misplace the ideal gauge basis's rotation columns
+    out = tmp_path / "res"
+    assert main(["simulate", "--filter", "ideal", "--runs", "1", "--loops", "1",
+                 "--seed", "8", "--eval-stride", "40", "--zero-noise",
+                 "--emit-jacobian-log", "--out", str(out)]) == 0
+    assert main(["observability", "--jacobian-log",
+                 str(out / "jacobians-ideal.txt")]) == 0
 
 
 def test_zero_noise_simulation(tmp_path, capsys):

@@ -12,10 +12,10 @@ from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
                                 replay_metrics, run_filter,
                                 run_monte_carlo, simulated_steps,
                                 synthesize_constant_velocity_odometry)
-from objectslam.lie import random_rotation
+from objectslam.lie import random_rotation, so3_log
 from objectslam.logio import (ReplayStep, read_measurement_log,
                               write_jacobian_log, write_measurement_log)
-from objectslam.metrics import standard_error_vector
+from objectslam.metrics import rmse, standard_error_vector
 from objectslam.observability import check_null_space
 from objectslam.oracles import jacobian_check_suite
 from objectslam.simulator import SimConfig, generate_world, simulate_run
@@ -219,6 +219,56 @@ def test_replay_without_odometry_and_without_sigma_fails():
     steps, _ = corridor_steps(num_steps=3)
     with pytest.raises(MissingOdometryError, match="step 1 .*noise covariance"):
         run_filter(FilterSpec("riekf"), steps)
+
+
+def per_pose_replay_metrics(steps, result):
+    """replay_metrics as it once was: one so3_log per pose."""
+    robot_err = []
+    for step, (rot, pos) in enumerate(result.trajectory):
+        rec = steps.get(step)
+        if rec is not None and rec.truth_robot is not None:
+            r_t, p_t = rec.truth_robot
+            robot_err.append(np.concatenate([so3_log(r_t @ rot.T), p_t - pos]))
+    errs = np.asarray(robot_err)
+    metrics = {
+        "robot_rot_rmse": rmse(errs[:, 0:3]),
+        "robot_pos_rmse": rmse(errs[:, 3:6]),
+        "final_robot_rot_error": float(np.linalg.norm(errs[-1, 0:3])),
+        "final_robot_pos_error": float(np.linalg.norm(errs[-1, 3:6])),
+    }
+    mean = result.final_state.mean
+    truth = {}
+    for step in sorted(steps):
+        truth.update(steps[step].truth_features)
+    f_rot, f_pos = [], []
+    for fid, (r_t, p_t) in truth.items():
+        if fid in mean.feature_ids:
+            j = mean.index_of(fid)
+            f_rot.append(so3_log(r_t @ mean.feature_rots[j].T))
+            f_pos.append(p_t - mean.feature_pos[j])
+    metrics["feature_rot_rmse"] = rmse(np.asarray(f_rot))
+    metrics["feature_pos_rmse"] = rmse(np.asarray(f_pos))
+    return metrics
+
+
+@pytest.mark.parametrize("kind", ["riekf", "stdekf"])
+def test_replay_metrics_match_per_pose_loops(kind):
+    # robust replay of a stream with outliers, where some steps lack robot
+    # truth, one estimated feature has no truth record and one feature with
+    # truth records is never observed
+    _, run = small_sim(seed=4, loops=2)
+    steps = simulated_steps(run.odometry, run.observations, run.trace.states)
+    steps, _ = inject_outliers(steps, 0.05, 20.0, np.random.default_rng(4))
+    untracked, unseen = run.trace.states[0].feature_ids[1:3]
+    for step, rec in steps.items():
+        rec.observations = [z for z in rec.observations if z.feature_id != unseen]
+        rec.truth_features.pop(untracked, None)
+        if step % 7 == 3:
+            rec.truth_robot = None
+    result = run_filter(FilterSpec(kind, robust=True), steps)
+    ids = result.final_state.mean.feature_ids
+    assert untracked in ids and unseen not in ids and result.rejected
+    assert replay_metrics(steps, result) == per_pose_replay_metrics(steps, result)
 
 
 def test_replay_empty_log():
@@ -499,7 +549,8 @@ def late_feature_run():
 
 # (diverged, reason, len(trajectory)) and the sha256 of the written Jacobian
 # log of each way a capture window can end early, recorded before run_filter
-# had one failure path; same platform caveat as LIST_INPUT_DIGESTS.
+# had one failure path and before it anchored its logs (so the log is hashed
+# without its anchor); same platform caveat as LIST_INPUT_DIGESTS.
 CAPTURE_END_PINS = {
     ("riekf", "diverges-in-window"): (
         True, "step 16: innovation covariance condition number 9.924e+19", 16,
@@ -551,16 +602,19 @@ def test_capture_window_ends_as_pinned(tmp_path, monkeypatch, kind, case):
                      run.trace.states, eval_steps=eval_steps, jacobian_steps=20)
     log = res.jacobian_log
     path = tmp_path / "jacobians.txt"
-    write_jacobian_log(path, log)
+    write_jacobian_log(path, dataclasses.replace(log, anchor=None))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert (res.diverged, res.reason, len(res.trajectory), digest) == \
         CAPTURE_END_PINS[kind, case]
     if case == "stream-ends-on-activation":
-        assert log.start_step == 0 and log.F == log.H == []
+        assert log.start_step == 0 and log.F == log.H == [] and log.anchor is None
     else:
         # the window opened on step 11; its last F has no successor step
         assert log.start_step == 11 and len(log.F) == len(log.H) > 0
         assert np.array_equal(log.F[-1], np.eye(log.state_dim))
+        truth = run.trace.states[log.start_step]
+        assert log.anchor == {"robot_pos": truth.robot_pos.tolist(),
+                              "feature_pos": truth.feature_pos.tolist()}
 
 
 @pytest.mark.parametrize("kind", ["riekf", "stdekf", "ideal"])
