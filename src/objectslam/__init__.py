@@ -23,7 +23,7 @@ from .harness import (FilterSpec, RunConfig, inject_outliers,
 from .lie import project_to_so3, random_rotation, skew, so3_exp, so3_log
 from .metrics import BLOCKS, nees, rmse
 from .observability import (JacobianLog, ObservabilityReport, SubspaceBasis,
-                            build_observability_matrix, check_null_space,
+                            check_null_space, fold_observability_matrix,
                             null_space)
 from .oracles import jacobian_check_suite
 from .simulator import (GroundTruthTrace, SimConfig, generate_trajectory,

@@ -9,7 +9,6 @@ which _capture_window reads from the stream's first sightings.
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -350,6 +349,8 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
     work = [(cfg, world, i, cfg.emit_jacobian_log and i == 0, eval_steps)
             for i in range(cfg.runs)]
     if cfg.jobs > 1:
+        # imported here so that a single-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = sorted(pool.map(_mc_worker, work), key=lambda t: t[0])
     else:

@@ -1,12 +1,16 @@
-"""Observability-matrix construction and unobservable-subspace verification.
+"""Observability-matrix factoring and unobservable-subspace verification.
 
-The stacked matrix has rows H_k @ F_{k-1} @ ... @ F_0 (empty product for the
-first block). Null spaces are extracted by one thin SVD with a relative
-singular-value threshold; check_null_space compares the computed null space
-against the analytic gauge basis the log's filter and mode call for (global
-rotation + translation). The three bases come from one block construction;
-the rule that picks one is checked apart from building it, so validating a
-Jacobian-log header builds no basis.
+The stacked matrix O has rows H_k @ F_{k-1} @ ... @ F_0 (empty product for
+the first block). It is never formed: one R factor is folded from its rows,
+a state dimension's worth at a time, so memory stays O(d^2) whatever the
+window. O = Q R with orthonormal Q, so R has O's singular values and
+||O N|| = ||R N||, without the squared condition number of a Gram sum.
+Null spaces are extracted by one SVD of R with a relative singular-value
+threshold that still counts O's rows; check_null_space compares the computed
+null space against the analytic gauge basis the log's filter and mode call
+for (global rotation + translation). The three bases come from one block
+construction; the rule that picks one is checked apart from building it, so
+validating a Jacobian-log header builds no basis.
 """
 
 from dataclasses import dataclass, field, fields
@@ -71,39 +75,57 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-def build_observability_matrix(log: JacobianLog) -> np.ndarray:
+def fold_observability_matrix(log: JacobianLog) -> tuple[np.ndarray, int]:
+    """R factor of the stacked observability matrix, and the stack's row count.
+
+    Rows are folded into R by one QR each time at least d of them are
+    pending, so at most R, Phi_k and under 2 d rows are held at once. R is
+    min(rows, d) x d: square once the stack is tall, the rows' own upper
+    trapezoid while they are fewer than d.
+    """
     if not log.F:
         raise DimensionMismatchError("empty Jacobian log")
-    rows = []
-    prod = np.eye(log.state_dim)
-    for k, (f, h) in enumerate(zip(log.F, log.H)):
+    d = log.state_dim
+    blocks, pending, rows = [], 0, 0  # blocks[0] is R once a fold has run
+    prod = np.eye(d)
+    for k, h in enumerate(log.H):
         if k > 0:
             prod = log.F[k - 1] @ prod
-        if h is not None and h.size:
-            rows.append(h @ prod)
+        if h is None or not h.size:
+            continue
+        blocks.append(h @ prod)
+        pending += h.shape[0]
+        rows += h.shape[0]
+        if pending >= d:
+            blocks, pending = [np.linalg.qr(np.vstack(blocks), mode="r")], 0
     if not rows:
         raise DimensionMismatchError("Jacobian log contains no observations")
-    return np.vstack(rows)
+    return np.linalg.qr(np.vstack(blocks), mode="r"), rows
 
 
-def null_space(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
+def null_space(m: np.ndarray, tol: float = DEFAULT_RANK_TOL,
+               rows: int | None = None) -> SubspaceBasis:
     """Orthonormal basis of right singular vectors below tol * sigma_max * max(dim).
 
-    Only V is needed. A tall m x n matrix takes the thin SVD, whose V^T is
-    already n x n, so the m x m U is never formed; a wide one (m < n) needs
-    the full V^T, whose last n - m rows are null directions without a
-    singular value. A tol of 1 / max(dim) or more puts the cutoff at or above
-    sigma_max, which would make every direction null: RankToleranceError.
+    dim is m's shape, with rows in place of its row count when m is the R
+    factor of a taller stack. Only V is needed. A tall m x n matrix takes the
+    thin SVD, whose V^T is already n x n, so the m x m U is never formed; a
+    wide one (m < n) needs the full V^T, whose last n - m rows are null
+    directions without a singular value. A tol of 1 / max(dim) or more puts
+    the cutoff at or above sigma_max, which would make every direction null:
+    RankToleranceError.
     """
-    if tol * max(m.shape) >= 1.0:
+    rows = m.shape[0] if rows is None else rows
+    size = max(rows, m.shape[1])
+    if tol * size >= 1.0:
         raise RankToleranceError(
-            f"tol {tol:g} is too large for a {m.shape[0]} x {m.shape[1]} matrix: "
-            f"the cutoff tol * sigma_max * {max(m.shape)} would count every "
-            f"direction as unobservable (tol must be below {1.0 / max(m.shape):g})")
+            f"tol {tol:g} is too large for a {rows} x {m.shape[1]} matrix: "
+            f"the cutoff tol * sigma_max * {size} would count every "
+            f"direction as unobservable (tol must be below {1.0 / size:g})")
     _, sv, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     if sv.size == 0 or sv[0] == 0.0:
         return SubspaceBasis(np.eye(m.shape[1]), sv)
-    cutoff = tol * sv[0] * max(m.shape)
+    cutoff = tol * sv[0] * size
     n_null = m.shape[1] - int(np.sum(sv > cutoff))
     return SubspaceBasis(vt[m.shape[1] - n_null:].T.copy(), sv)
 
@@ -195,13 +217,13 @@ def check_null_space(log: JacobianLog,
                      tol: float = DEFAULT_RANK_TOL) -> ObservabilityReport:
     """Compare the observability matrix's null space with the log's gauge
     basis; the check passes when their dimensions agree and the matrix
-    annihilates the basis."""
+    annihilates the basis. Both are read from the matrix's R factor."""
     analytic = gauge_basis(log)
     expected_dim = analytic.shape[1]
-    obs = build_observability_matrix(log)
-    ns = null_space(obs, tol=tol)
+    r, rows = fold_observability_matrix(log)
+    ns = null_space(r, tol=tol, rows=rows)
     sv = ns.singular_values
-    residual = float(np.linalg.norm(obs @ analytic))
+    residual = float(np.linalg.norm(r @ analytic))
     contain = float(subspace_contained(analytic, ns.basis)) if ns.dimension else None
     passed = (ns.dimension == expected_dim
               and residual <= max(tol * sv[0], 1e-12) * max(1.0, expected_dim))

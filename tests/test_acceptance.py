@@ -16,8 +16,7 @@ from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
                                 run_filter, run_monte_carlo, simulated_steps)
 from objectslam.lie import random_rotation, so3_log
 from objectslam.metrics import BLOCKS, standard_error_vector
-from objectslam.observability import (build_observability_matrix,
-                                      invariant_gauge_basis, null_space,
+from objectslam.observability import (invariant_gauge_basis, null_space,
                                       check_null_space, std_ideal_gauge_basis,
                                       subspace_contained)
 from objectslam.oracles import jacobian_check_suite, sample_augmented_covariance
@@ -25,6 +24,7 @@ from objectslam.simulator import SimConfig, generate_world, simulate_run
 from objectslam.types import PoseObservation
 
 from test_group import embed, embed_algebra, matrix_series_exp, random_state
+from test_observability import stacked_observability_matrix
 from test_riekf import random_filter_state
 
 SEED = 42
@@ -101,7 +101,7 @@ def test_criterion_3_invariant_null_space():
     ok = True
     for k in (1, 3):
         log, _ = observability_experiment("riekf", k, 15, seed=SEED, noisy=True)
-        obs = build_observability_matrix(log)
+        obs = stacked_observability_matrix(log)
         dim = null_space(obs).dimension
         residual = np.linalg.norm(obs @ invariant_gauge_basis(k))
         bound = 1e-8 * np.linalg.norm(obs)
@@ -114,7 +114,7 @@ def test_criterion_3_invariant_null_space():
 def test_criterion_4_standard_null_space():
     log, anchor = observability_experiment("ideal", 1, 20, seed=SEED,
                                            noisy=False)
-    obs = build_observability_matrix(log)
+    obs = stacked_observability_matrix(log)
     ns = null_space(obs)
     dim_ideal = ns.dimension
     # the basis at the experiment's own true state, and at the anchor the log stores
@@ -122,7 +122,7 @@ def test_criterion_4_standard_null_space():
     contain_truth = subspace_contained(basis, ns.basis)
     contain = check_null_space(log).containment_residual
     log_n, _ = observability_experiment("stdekf", 1, 20, seed=SEED, noisy=True)
-    dim_est = null_space(build_observability_matrix(log_n)).dimension
+    dim_est = null_space(stacked_observability_matrix(log_n)).dimension
     ok = (dim_ideal == 6 and contain_truth < 1e-8 and contain < 1e-8
           and dim_est == 3)
     detail = (f"ideal: null dim {dim_ideal}, skew-anchored basis containment "

@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,6 +484,17 @@ def test_worker_pool_matches_sequential(tmp_path):
     s1 = run_monte_carlo(RunConfig(jobs=1, **base))
     s2 = run_monte_carlo(RunConfig(jobs=2, **base))
     assert s1 == s2
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a run with jobs > 1 pays for multiprocessing
+    import objectslam
+    env = dict(os.environ, PYTHONPATH=str(Path(objectslam.__file__).parents[1]))
+    probe = ("import sys, objectslam.cli; "
+             "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_monte_carlo_worker_results_carry_no_trajectory():

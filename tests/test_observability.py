@@ -8,11 +8,34 @@ from objectslam.group import pos_block, rot_block, tangent_dim
 from objectslam.harness import observability_experiment
 from objectslam.lie import skew
 from objectslam.observability import (DEFAULT_RANK_TOL, JacobianLog,
-                                      build_observability_matrix,
+                                      fold_observability_matrix, gauge_basis,
                                       invariant_gauge_basis, null_space,
                                       std_estimated_gauge_basis,
                                       std_ideal_gauge_basis,
                                       subspace_contained, check_null_space)
+
+
+def stacked_observability_matrix(log):
+    """Reference: the whole stack of rows H_k @ F_{k-1} @ ... @ F_0, as the
+    check built it before it folded an R factor instead."""
+    rows = []
+    prod = np.eye(log.state_dim)
+    for k, (f, h) in enumerate(zip(log.F, log.H)):
+        if k > 0:
+            prod = log.F[k - 1] @ prod
+        if h is not None and h.size:
+            rows.append(h @ prod)
+    return np.vstack(rows)
+
+
+def assert_folds_to(log, expected):
+    # R^T R = O^T O for O = Q R; R is upper triangular (trapezoidal when wide)
+    r, rows = fold_observability_matrix(log)
+    assert rows == expected.shape[0]
+    assert r.shape == (min(expected.shape), expected.shape[1])
+    assert np.array_equal(np.tril(r, -1), np.zeros_like(r))
+    gram = expected.T @ expected
+    assert np.allclose(r.T @ r, gram, rtol=0, atol=1e-13 * np.abs(gram).max())
 
 
 def test_single_step_returns_h():
@@ -20,7 +43,8 @@ def test_single_step_returns_h():
     h = rng.normal(size=(6, 12))
     log = JacobianLog("riekf", "estimated", 1)
     log.append(np.eye(12), h)
-    assert np.array_equal(build_observability_matrix(log), h)
+    assert_folds_to(log, h)
+    assert np.array_equal(stacked_observability_matrix(log), h)
 
 
 def test_identity_transitions_stack_raw_h():
@@ -29,7 +53,7 @@ def test_identity_transitions_stack_raw_h():
     log = JacobianLog("riekf", "estimated", 1)
     for h in hs:
         log.append(np.eye(12), h)
-    assert np.allclose(build_observability_matrix(log), np.vstack(hs))
+    assert_folds_to(log, np.vstack(hs))
 
 
 def test_three_step_product_matches_hand_assembly():
@@ -43,7 +67,8 @@ def test_three_step_product_matches_hand_assembly():
     for f, h in zip(fs, hs):
         log.append(f, h)
     expected = np.vstack([hs[0], hs[1] @ fs[0], hs[2] @ fs[1] @ fs[0]])
-    assert np.allclose(build_observability_matrix(log), expected, atol=1e-12)
+    assert np.allclose(stacked_observability_matrix(log), expected, atol=1e-12)
+    assert_folds_to(log, expected)
 
 
 def test_steps_without_observations_are_skipped():
@@ -54,7 +79,7 @@ def test_steps_without_observations_are_skipped():
     log = JacobianLog("stdekf", "estimated", 1)
     log.append(f1, None)
     log.append(np.eye(12), h2)
-    assert np.allclose(build_observability_matrix(log), h2 @ f1)
+    assert_folds_to(log, h2 @ f1)
 
 
 def test_null_space_trivial_cases():
@@ -109,7 +134,7 @@ def test_invariant_single_step_contains_basis():
 def test_invariant_prefix_rows_annihilate_basis():
     log, _ = observability_experiment("riekf", 2, 12, seed=5, noisy=True)
     basis = invariant_gauge_basis(2)
-    obs = build_observability_matrix(log)
+    obs = stacked_observability_matrix(log)
     for rows in range(6, obs.shape[0] + 1, 6):
         assert np.linalg.norm(obs[:rows] @ basis) < 1e-9
 
@@ -119,8 +144,8 @@ def test_null_dimension_monotone_in_steps():
     dims = []
     for t in range(1, len(log.F) + 1):
         prefix = JacobianLog("stdekf", "estimated", 1, F=log.F[:t], H=log.H[:t])
-        obs = build_observability_matrix(prefix)
-        dims.append(null_space(obs).dimension)
+        r, rows = fold_observability_matrix(prefix)
+        dims.append(null_space(r, rows=rows).dimension)
     assert all(a >= b for a, b in zip(dims, dims[1:]))
 
 
@@ -144,10 +169,10 @@ def test_standard_estimated_noisy_run():
 def test_standard_estimated_on_truth_degenerates_to_six():
     # estimates equal to the truth reduce the estimated case to the ideal one
     log, anchor = observability_experiment("stdekf", 1, 20, seed=9, noisy=False)
-    obs = build_observability_matrix(log)
-    assert null_space(obs).dimension == 6
+    r, rows = fold_observability_matrix(log)
+    assert null_space(r, rows=rows).dimension == 6
     ideal_basis = std_ideal_gauge_basis(anchor.robot_pos, anchor.feature_pos)
-    assert np.linalg.norm(obs @ ideal_basis) < 1e-9
+    assert np.linalg.norm(r @ ideal_basis) < 1e-9
 
 
 def test_standard_translation_basis_is_subspace_of_ideal_basis():
@@ -161,7 +186,11 @@ def test_standard_translation_basis_is_subspace_of_ideal_basis():
 
 def test_empty_log_rejected():
     with pytest.raises(DimensionMismatchError):
-        build_observability_matrix(JacobianLog("riekf", "estimated", 1))
+        fold_observability_matrix(JacobianLog("riekf", "estimated", 1))
+    log = JacobianLog("riekf", "estimated", 1)
+    log.append(np.eye(12), None)
+    with pytest.raises(DimensionMismatchError):
+        fold_observability_matrix(log)
 
 
 def test_dimension_mismatch_rejected():
@@ -199,22 +228,13 @@ def test_thin_null_space_matches_full_svd(rows, cols, rank):
 def test_report_singular_values_come_from_the_null_space_svd():
     log, _ = observability_experiment("riekf", 2, 12, seed=11, noisy=True)
     report = check_null_space(log)
-    ref = np.linalg.svd(build_observability_matrix(log), compute_uv=False)
+    ref = np.linalg.svd(stacked_observability_matrix(log), compute_uv=False)
     assert report.singular_values.shape == ref.shape
     assert np.max(np.abs(report.singular_values - ref)) <= 1e-12 * ref[0]
     assert report.sigma_max == report.singular_values[0]
 
 
-def test_null_space_check_never_forms_the_full_u():
-    # a full SVD of an m-row matrix allocates an m x m U (m^2 * 8 bytes);
-    # the thin one needs memory linear in m
-    base, _ = observability_experiment("riekf", 1, 20, seed=12, noisy=True)
-    log = JacobianLog("riekf", "estimated", 1)
-    while sum(h.shape[0] for h in log.H if h is not None) < 2000:
-        for f, h in zip(base.F, base.H):
-            log.append(f, h)
-    rows = build_observability_matrix(log).shape[0]
-    assert rows >= 2000
+def _check_peak(log):
     tracemalloc.start()
     try:
         report = check_null_space(log)
@@ -222,7 +242,77 @@ def test_null_space_check_never_forms_the_full_u():
     finally:
         tracemalloc.stop()
     assert report.passed and report.null_dim == 6
-    assert peak < rows * rows * 8 / 10
+    return peak
+
+
+def test_null_space_check_never_forms_the_full_u():
+    # a full SVD of an m-row matrix allocates an m x m U (m^2 * 8 bytes), and
+    # the stacked matrix itself grows with m; the folded R factor is d x d,
+    # so doubling the window leaves the check's peak where it was
+    base, _ = observability_experiment("riekf", 1, 20, seed=12, noisy=True)
+    log = JacobianLog("riekf", "estimated", 1)
+    peaks = []
+    for min_rows in (2000, 4000):
+        while sum(h.shape[0] for h in log.H if h is not None) < min_rows:
+            for f, h in zip(base.F, base.H):
+                log.append(f, h)
+        rows = fold_observability_matrix(log)[1]
+        assert rows >= min_rows
+        peaks.append(_check_peak(log))
+        assert peaks[-1] < rows * rows * 8 / 10
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def _gauge_preserving_log(num_features, rows_per_step, seed):
+    # F N = N and H N = 0 for the invariant gauge basis N, so the check can
+    # pass on random Jacobians; a step with 0 rows has no observation
+    rng = np.random.default_rng(seed)
+    d = tangent_dim(num_features)
+    q = np.linalg.qr(invariant_gauge_basis(num_features))[0]
+    proj = np.eye(d) - q @ q.T
+    log = JacobianLog("riekf", "estimated", num_features)
+    for rows in rows_per_step:
+        f = np.eye(d) + 0.1 * rng.normal(size=(d, d)) @ proj
+        log.append(f, rng.normal(size=(rows, d)) @ proj if rows else None)
+    return log
+
+
+FOLD_CASES = {
+    # the observability workload's two logs
+    "riekf-K6-100": lambda: observability_experiment("riekf", 6, 100, seed=0,
+                                                     noisy=True)[0],
+    "ideal-K6-100": lambda: observability_experiment("ideal", 6, 100, seed=0,
+                                                     noisy=False)[0],
+    "wide": lambda: _gauge_preserving_log(6, [6, 6, 6], seed=30),
+    "observation-free-steps": lambda: _gauge_preserving_log(
+        2, [6, 0, 0, 12, 0, 6, 6, 0], seed=31),
+    "rows-not-a-multiple-of-d": lambda: _gauge_preserving_log(2, [6] * 7, seed=32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_folded_check_matches_the_stacked_svd(case):
+    log = FOLD_CASES[case]()
+    obs = stacked_observability_matrix(log)
+    analytic = gauge_basis(log)
+    ref = null_space(obs)
+    ref_passed = (ref.dimension == analytic.shape[1]
+                  and np.linalg.norm(obs @ analytic)
+                  <= max(DEFAULT_RANK_TOL * ref.singular_values[0], 1e-12)
+                  * max(1.0, analytic.shape[1]))
+    report = check_null_space(log)
+    d = log.state_dim
+    if case == "wide":
+        assert obs.shape[0] < d
+    elif case == "observation-free-steps":
+        assert any(h is None for h in log.H)
+    elif case == "rows-not-a-multiple-of-d":
+        assert obs.shape[0] % d
+    assert report.singular_values.shape == ref.singular_values.shape
+    assert (np.max(np.abs(report.singular_values - ref.singular_values))
+            <= 1e-14 * ref.singular_values[0])
+    assert report.null_dim == ref.dimension
+    assert report.passed == ref_passed
 
 
 @pytest.mark.parametrize("kind, noisy, mode, expected_dim", [
