@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, LogDomainError
-from .lie import batch_left_jacobian_inv, batch_so3_log, so3_exp
+from .lie import batch_left_jacobian_inv, batch_so3_log, so3_exp_first_jacobian
 
 
 def tangent_dim(num_features: int) -> int:
@@ -90,8 +90,8 @@ def join_tangent(rot_vecs: np.ndarray, pos_vecs: np.ndarray) -> np.ndarray:
 
 
 def _rotate(r: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """r @ p over leading axes (a 3x1 column rounds exactly as the vector)."""
-    return (r @ p[..., None])[..., 0]
+    """r @ p over leading axes, rounded as the 2-D r @ p."""
+    return np.matvec(r, p)
 
 
 def identity_state(feature_ids: tuple = ()) -> GroupState:
@@ -143,8 +143,8 @@ def group_exp(xi: np.ndarray, feature_ids: tuple = ()) -> GroupState:
         raise DimensionMismatchError(
             f"tangent vector has dim {xi.shape}, expected (..., {tangent_dim(k)})")
     rot_vecs, pos_vecs = split_tangent(xi, k)
-    rots, jls = so3_exp(rot_vecs, left_jacobian=True)
-    jl = jls[..., 0, :, :]
+    # only the robot's left Jacobian moves positions
+    rots, jl = so3_exp_first_jacobian(rot_vecs)
     return GroupState(rots[..., 0, :, :], _rotate(jl, pos_vecs[..., 0, :]),
                       rots[..., 1:, :, :], pos_vecs[..., 1:, :] @ jl.swapaxes(-1, -2),
                       tuple(feature_ids))

@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ekf import Convention
-from .errors import (FilterDivergedError, IllConditionedInnovationError,
-                     LogDomainError, MissingOdometryError)
+from .ekf import Convention, FilterBatch
+from .errors import FilterDivergedError, LogDomainError, MissingOdometryError
 from .gating import gate
 from .group import GroupState, split_tangent
 from .lie import so3_exp
@@ -27,7 +26,8 @@ from .metrics import (BLOCKS, collect_samples, nees, restrict_to, rmse,
 from .observability import FILTERS, JacobianLog
 from .simulator import (STEPS_PER_LOOP, SimConfig, _noise_factor,
                         generate_world, simulate_run)
-from .types import FilterState, Odometry, PoseObservation, initial_filter_state
+from .types import (Failure, FilterState, Innovation, Odometry, PoseObservation,
+                    initial_filter_state)
 
 # a run whose standard error norm exceeds this at an evaluated step diverged
 DIVERGENCE_ERROR = 1e3
@@ -63,28 +63,15 @@ class RunResult:
     metric_samples: dict = field(default_factory=dict)
     gates: list = field(default_factory=list)
     jacobian_log: JacobianLog | None = None
-    diverged: bool = False
-    reason: str = ""
+    reason: Failure | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.reason is not None
 
     @property
     def rejected(self) -> int:
         return sum(1 for g in self.gates if not g[2])
-
-
-def _process_observation(spec: FilterSpec, state: FilterState,
-                         z: PoseObservation, lin: GroupState | None,
-                         gates: list, step: int) -> FilterState:
-    conv = spec.convention
-    if z.feature_id not in state.mean.feature_ids:
-        return conv.initialize_feature(state, z)
-    inn = conv.innovation(state, z, lin)
-    if spec.robust:
-        decision = gate(inn)
-        gates.append((step, z.feature_id, decision.accepted,
-                      float(np.max(decision.margins))))
-        if not decision.accepted:
-            return state
-    return conv.apply_update(state, inn)
 
 
 def _capture_window(steps: dict) -> tuple:
@@ -142,96 +129,226 @@ def run_filter(spec: FilterSpec, steps: dict,
                truth_states: list | None = None, eval_steps=frozenset(),
                jacobian_steps: int | None = None,
                synth_noise_cov: np.ndarray | None = None) -> RunResult:
-    """Drive one filter over a {step: ReplayStep} measurement stream.
+    """Drive one filter over a {step: ReplayStep} measurement stream: the
+    one-member case of run_filters, which documents the arguments."""
+    return run_filters((spec,), steps, truth_states, eval_steps, jacobian_steps,
+                       synth_noise_cov)[0]
+
+
+def run_filters(specs, steps: dict, truth_states: list | None = None,
+                eval_steps=frozenset(), jacobian_steps: int | None = None,
+                synth_noise_cov: np.ndarray | None = None) -> list:
+    """Drive filters over one {step: ReplayStep} measurement stream as the
+    members of one FilterBatch; one RunResult per spec, in spec order.
 
     Walks steps 0 .. max(steps); a missing step has no records. The odometry
     at step s moves step s-1 to s; a step without one gets constant-velocity
-    odometry synthesized from the trajectory so far, which needs
+    odometry synthesized from each filter's trajectory so far, which needs
     synth_noise_cov. The ideal variant and any metric sampling need
-    truth_states. With jacobian_steps set, result.jacobian_log is the finished
-    log of up to that many steps of (F, H), from the step after the stream's
-    last first sighting of a feature (_capture_window), when the state holds
-    every feature the stream observes; with truth_states it is anchored at
-    the window's first true state, features in the filter state's order.
-    A filter failure ends the run as diverged,
-    with reason "step N: cause". final_state is the estimate of the last
-    trajectory row, so a failure never leaves the failing step's state.
+    truth_states. With jacobian_steps set, each result's jacobian_log is the
+    finished log of up to that many steps of (F, H), from the step after the
+    stream's last first sighting of a feature (_capture_window), when the
+    state holds every feature the stream observes; with truth_states it is
+    anchored at the window's first true state, features in the filter
+    state's order. A filter failure ends that filter's run as diverged, with
+    reason Failure(step, cause), while the others go on. final_state is the
+    estimate of the last trajectory row, so a failure never leaves the
+    failing step's state. A filter's result does not depend on which others
+    share its batch.
     """
-    conv, at_truth = spec.convention, spec.at_truth
-    if at_truth and truth_states is None:
+    specs = tuple(specs)
+    if any(spec.at_truth for spec in specs) and truth_states is None:
         raise ValueError("ideal filter needs ground-truth states")
     if eval_steps and truth_states is None:
         raise ValueError("metric sampling needs ground-truth states")
-    window, log = range(0), None  # the steps whose H is captured, and their log
+    window = range(0)  # the steps whose H is captured
     if jacobian_steps is not None:
         start, observed = _capture_window(steps)
         window = range(start, start + jacobian_steps)
-        log = JacobianLog(spec.kind, "ideal" if at_truth else "estimated", observed)
-    state = initial_filter_state()
-    result = RunResult(spec, state, [], jacobian_log=log)
-    # running sum of the body-frame increments between recorded estimates;
-    # it starts at the first increment, not at zeros, so it is the sum that
-    # np.sum over all of them forms (a -0.0 component stays -0.0)
-    increment_sum, increments = np.zeros(3), 0
-    no_records = ReplayStep()
+    results = [RunResult(spec, initial_filter_state(), [], jacobian_log=(
+        JacobianLog(spec.kind, "ideal" if spec.at_truth else "estimated", observed)
+        if jacobian_steps is not None else None)) for spec in specs]
+    # the members of one convention side by side, so that each convention's
+    # blocks are one slice of the batch; members[i] is batch row i's result
+    members = sorted(results, key=lambda r: (r.spec.convention.name, r.spec.at_truth))
+    batch = FilterBatch.start([r.spec.convention for r in members],
+                              [r.spec.at_truth for r in members])
+    # the robot poses of every filter, one slot per filter; slots[i] is batch
+    # row i's slot and lengths the number of poses each slot holds
     num_steps = max(steps, default=-1)
+    slot_results = list(members)
+    traj_rot = np.empty((len(members), num_steps + 1, 3, 3))
+    traj_pos = np.empty((len(members), num_steps + 1, 3))
+    slots = np.arange(len(members))
+    lengths = np.zeros(len(members), dtype=int)
+    world = ({fid: i for i, fid in enumerate(truth_states[0].feature_ids)}
+             if truth_states else {})
+    # running sums of the body-frame increments between recorded estimates;
+    # each starts at the first increment, not at zeros, so it is the sum that
+    # np.sum over all of them forms (a -0.0 component stays -0.0)
+    increment_sum, increments = np.zeros(batch.pos[..., 0, :].shape), 0
+    last_pose = None  # the members' robot poses of the last step
+    no_records = ReplayStep()
+
+    def truth_at(step):
+        # the true robot rotation and positions, features in the state's order
+        if not batch.at_truth.any():
+            return None
+        t = truth_states[step]
+        idx = [world[fid] for fid in batch.feature_ids]
+        return t.robot_rot, np.concatenate([t.robot_pos[None], t.feature_pos[idx]])
+
+    truth = truth_at(0) if num_steps >= 0 else None
+
+    def freeze(failures: dict, step: int, before) -> None:
+        # before is the batch and its slots at the step's start, or None when
+        # the failing member's own state at the step's end is its last
+        nonlocal slots, increment_sum, last_pose
+        for i, exc in failures.items():
+            res = members[i]
+            res.reason = Failure(step, str(exc))
+            if before is None:
+                res.final_state = batch.member(i)
+                lengths[slots[i]] = step + 1
+            else:
+                res.final_state = before[0].member(
+                    int(np.flatnonzero(before[1] == slots[i])[0]))
+                lengths[slots[i]] = step
+        keep = [i for i in range(len(members)) if i not in failures]
+        if keep:
+            rows = keep if len(keep) > 1 else keep[0]
+            increment_sum = increment_sum[rows]
+            if last_pose is not None:
+                last_pose = tuple(a[rows] for a in last_pose)
+            batch.keep(keep)
+        members[:] = [members[i] for i in keep]
+        slots = slots[keep]
+
     # an overflow becomes a diverged run with its cause (below), so numpy's
     # own warnings about it would only repeat that cause
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(num_steps + 1):
             rec = steps.get(step, no_records)
-            lin_prev = truth_states[step - 1] if at_truth else None
-            lin_here = truth_states[step] if at_truth else None
-            try:
-                if step > 0:
-                    u = rec.odometry
-                    if u is None:
-                        if synth_noise_cov is None:
-                            raise MissingOdometryError(
-                                f"step {step} has no odometry record; constant-velocity "
-                                "synthesis needs an explicit noise covariance")
-                        u = synthesize_constant_velocity_odometry(
-                            increment_sum, increments, synth_noise_cov)
-                    # F entries are the transitions out of the window's steps
-                    if step - 1 in window:
-                        log.F.append(conv.propagation_jacobians(state, u, lin_prev)[0])
-                    state = conv.propagate(state, u, lin_prev)
-                if step in window:
-                    if step == window.start:
-                        log.start_step = step
-                        if truth_states is not None:
-                            t = restrict_to(truth_states[step], state.mean.feature_ids)
-                            log.anchor = {"robot_pos": t.robot_pos.tolist(),
-                                          "feature_pos": t.feature_pos.tolist()}
-                    rows = [conv.observation_jacobian(
-                        state.mean, state.mean.index_of(z.feature_id), lin_here)
-                        for z in rec.observations]
-                    log.H.append(np.vstack(rows) if rows else None)
-                for z in rec.observations:
-                    state = _process_observation(spec, state, z, lin_here,
-                                                 result.gates, step)
-                if synth_noise_cov is not None and result.trajectory:
-                    prev_rot, prev_pos = result.trajectory[-1]
-                    delta = prev_rot.T @ (state.mean.robot_pos - prev_pos)
-                    increment_sum = delta if increments == 0 else increment_sum + delta
-                    increments += 1
-                result.trajectory.append((state.mean.robot_rot, state.mean.robot_pos))
-                result.final_state = state
-                if step in eval_steps or step == num_steps:
-                    _check_divergence(state, truth_states[step]
-                                      if truth_states else None)
-                if step in eval_steps:
-                    result.metric_samples[step] = collect_samples(
-                        truth_states[step], state, conv)
-            except (IllConditionedInnovationError, LogDomainError,
-                    FilterDivergedError) as exc:
-                result.diverged = True
-                result.reason = f"step {step}: {exc}"
+            before = batch.snapshot(), slots
+            if step > 0:
+                u = rec.odometry
+                if u is None:
+                    if synth_noise_cov is None:
+                        raise MissingOdometryError(
+                            f"step {step} has no odometry record; constant-velocity "
+                            "synthesis needs an explicit noise covariance")
+                    u = synthesize_constant_velocity_odometry(
+                        increment_sum, increments, synth_noise_cov)
+                # F entries are the transitions out of the window's steps
+                if step - 1 in window:
+                    for i, res in enumerate(members):
+                        u_i = Odometry(u.rot, u.pos if u.pos.ndim == 1 else u.pos[i],
+                                       u.noise_cov)
+                        res.jacobian_log.F.append(res.spec.convention.propagation_jacobians(
+                            FilterState(batch.member_mean(i), batch.at(batch.cov, i)), u_i,
+                            truth_states[step - 1] if res.spec.at_truth else None)[0])
+                # the previous step's truth, after its last initialization
+                batch.propagate(u, truth)
+                truth = truth_at(step)
+            if step in window:
+                for i, res in enumerate(members):
+                    _capture_h(res, batch.member_mean(i), rec.observations, step,
+                               window.start, truth_states)
+            for z in rec.observations:
+                if z.feature_id not in batch.feature_ids:
+                    batch.initialize(z)
+                    truth = truth_at(step)
+                    continue
+                inn = batch.innovation(z, truth)
+                accept, rejected = None, []  # None: every member
+                for i, res in enumerate(members):
+                    if res.spec.robust:
+                        decision = gate(Innovation(batch.at(inn.y, i), batch.at(inn.S, i),
+                                                   batch.at(inn.HP, i)))
+                        res.gates.append((step, z.feature_id, decision.accepted,
+                                          float(np.max(decision.margins))))
+                        if not decision.accepted:
+                            rejected.append(i)
+                if rejected:
+                    accept = np.ones(len(members), dtype=bool)
+                    accept[rejected] = False
+                failures = batch.update(inn, accept)
+                if failures:
+                    freeze(failures, step, before)
+                    if not members:
+                        break
+            if not members:
                 break
-    if log is not None:
-        # a run that ended inside the window has no F out of its last step
-        log.F += [np.eye(log.state_dim) for _ in range(len(log.H) - len(log.F))]
-    return result
+            before = None  # from here on a failing member's last state is its own
+            robot_rot, robot_pos = batch.rot[..., 0, :, :], batch.pos[..., 0, :]
+            if synth_noise_cov is not None and last_pose is not None:
+                prev_rot, prev_pos = last_pose
+                delta = np.matvec(np.swapaxes(prev_rot, -1, -2), robot_pos - prev_pos)
+                increment_sum = delta if increments == 0 else increment_sum + delta
+                increments += 1
+            last_pose = robot_rot, robot_pos
+            if len(slots) == len(slot_results):
+                traj_rot[:, step], traj_pos[:, step] = robot_rot, robot_pos
+            else:
+                traj_rot[slots, step], traj_pos[slots, step] = robot_rot, robot_pos
+            if step in eval_steps or step == num_steps:
+                failures = _evaluate(batch, members, step, truth_states,
+                                     step in eval_steps)
+                if failures:
+                    freeze(failures, step, None)
+    for i, res in enumerate(members):
+        # views: the batch's buffers go with it
+        res.final_state = FilterState(batch.member_mean(i), batch.at(batch.cov, i))
+    lengths[slots] = num_steps + 1
+    for slot, res in enumerate(slot_results):
+        n = lengths[slot]
+        res.trajectory = list(zip(traj_rot[slot, :n], traj_pos[slot, :n]))
+        if n:
+            # the final state's robot pose is the last trajectory row
+            mean, (rot, pos) = res.final_state.mean, res.trajectory[-1]
+            res.final_state = FilterState(replace(mean, robot_rot=rot, robot_pos=pos),
+                                          res.final_state.cov)
+        log = res.jacobian_log
+        if log is not None:
+            # a run that ended inside the window has no F out of its last step
+            log.F += [np.eye(log.state_dim) for _ in range(len(log.H) - len(log.F))]
+    return results
+
+
+def _evaluate(batch: FilterBatch, members: list, step: int,
+              truth_states: list | None, sample: bool) -> dict:
+    """{batch row: error} of the members whose state fails the divergence
+    check (against truth when given) or, with sample, the metric sampling
+    that adds to their results."""
+    failures = {}
+    truth = truth_states[step] if truth_states else None
+    for i, res in enumerate(members):
+        state = FilterState(batch.member_mean(i), batch.at(batch.cov, i))
+        try:
+            _check_divergence(state, truth)
+            if sample:
+                res.metric_samples[step] = collect_samples(truth, state,
+                                                           res.spec.convention)
+        except (LogDomainError, FilterDivergedError) as exc:
+            failures[i] = exc
+    return failures
+
+
+def _capture_h(res: RunResult, mean: GroupState, observations: list, step: int,
+               start: int, truth_states: list | None) -> None:
+    """Append the step's stacked H (None without observations) to res's log;
+    the window's first step also sets the log's start and anchor."""
+    log = res.jacobian_log
+    if step == start:
+        log.start_step = step
+        if truth_states is not None:
+            t = restrict_to(truth_states[step], mean.feature_ids)
+            log.anchor = {"robot_pos": t.robot_pos.tolist(),
+                          "feature_pos": t.feature_pos.tolist()}
+    lin = truth_states[step] if res.spec.at_truth else None
+    h = [res.spec.convention.observation_jacobian(mean, mean.index_of(z.feature_id), lin)
+         for z in observations]
+    log.H.append(np.vstack(h) if h else None)
 
 
 def synthesize_constant_velocity_odometry(increment_sum: np.ndarray, count: int,
@@ -328,12 +445,12 @@ def _mc_worker(args):
                               trace=sim.trace)
     steps = simulated_steps(sim.odometry, sim.observations)
     out = {}
-    for spec in cfg.filters:
-        out[spec.name] = run_filter(
-            spec, steps, sim.trace.states, eval_steps=eval_steps,
-            jacobian_steps=200 if capture else None)
+    for res in run_filters(cfg.filters, steps, sim.trace.states,
+                           eval_steps=eval_steps,
+                           jacobian_steps=200 if capture else None):
         # aggregation never reads the poses, so no run holds or pickles them
-        out[spec.name].trajectory = []
+        res.trajectory = []
+        out[res.spec.name] = res
     return run_index, out
 
 
@@ -348,10 +465,13 @@ def run_monte_carlo(cfg: RunConfig) -> dict:
     eval_steps = set(range(cfg.eval_stride, n + 1, cfg.eval_stride)) | {n}
     work = [(cfg, world, i, cfg.emit_jacobian_log and i == 0, eval_steps)
             for i in range(cfg.runs)]
-    if cfg.jobs > 1:
+    # the fork start method starts every worker at once, so no more than
+    # one per run
+    workers = min(cfg.jobs, cfg.runs)
+    if workers > 1:
         # imported here so that a single-process run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = sorted(pool.map(_mc_worker, work), key=lambda t: t[0])
     else:
         results = [_mc_worker(w) for w in work]

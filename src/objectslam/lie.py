@@ -123,6 +123,16 @@ def _rodrigues(s: np.ndarray, ss: np.ndarray, c1, c2) -> np.ndarray:
     return out
 
 
+def _exp_series(a2):
+    # sin(a)/a, (1 - cos a)/a^2 and (a - sin a)/a^3 to second order
+    return 1.0 - a2 / 6.0, 0.5 - a2 / 24.0, 1.0 / 6.0 - a2 / 120.0
+
+
+def _exp_closed(angle, a2):
+    sin = np.sin(angle)
+    return sin / angle, (1.0 - np.cos(angle)) / a2, (angle - sin) / (a2 * angle)
+
+
 def so3_exp(phis: np.ndarray, left_jacobian: bool = False):
     """Rotations (..., 3, 3) of (..., 3) rotation vectors (radians); one
     vector gives one 3x3 matrix, bit for bit as its row of a stack does.
@@ -130,21 +140,22 @@ def so3_exp(phis: np.ndarray, left_jacobian: bool = False):
     With left_jacobian, also the left Jacobians sum_k S^k / (k+1)! of the
     same vectors, from the same pass: they share S, S^2 and (1 - cos a)/a^2.
     """
-    a2 = (phis * phis).sum(axis=-1)
-
-    def series(a2):
-        # sin(a)/a, (1 - cos a)/a^2 and (a - sin a)/a^3 to second order
-        return 1.0 - a2 / 6.0, 0.5 - a2 / 24.0, 1.0 / 6.0 - a2 / 120.0
-
-    def closed(angle, a2):
-        sin = np.sin(angle)
-        return sin / angle, (1.0 - np.cos(angle)) / a2, (angle - sin) / (a2 * angle)
-
-    c1, c2, c3 = _coefficients(a2, series, closed)
+    c1, c2, c3 = _coefficients((phis * phis).sum(axis=-1), _exp_series, _exp_closed)
     s = _skews(phis)
     ss = s @ s
     rots = _rodrigues(s, ss, c1, c2)
     return (rots, _rodrigues(s, ss, c2, c3)) if left_jacobian else rots
+
+
+def so3_exp_first_jacobian(phis: np.ndarray) -> tuple:
+    """so3_exp of (..., n, 3) rotation vectors, and the left Jacobian
+    (..., 3, 3) of the first vector of each stack alone, each entry as
+    so3_exp(phis, left_jacobian=True) forms it."""
+    c1, c2, c3 = _coefficients((phis * phis).sum(axis=-1), _exp_series, _exp_closed)
+    s = _skews(phis)
+    ss = s @ s
+    jl = _rodrigues(s[..., 0, :, :], ss[..., 0, :, :], c2[..., 0], c3[..., 0])
+    return _rodrigues(s, ss, c1, c2), jl
 
 
 def batch_left_jacobian_inv(phis: np.ndarray) -> np.ndarray:

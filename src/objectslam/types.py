@@ -47,11 +47,23 @@ class Innovation:
 
     HP caches H @ P from the S computation so the update can reuse it; the
     dense H itself is never formed (see Convention.observation_jacobian).
+    A FilterBatch's innovation puts its members on a leading axis of each.
     """
 
     y: np.ndarray
     S: np.ndarray
     HP: np.ndarray
+
+
+@dataclass(frozen=True)
+class Failure:
+    """Where and why a filter run stopped; str() reads "step N: cause"."""
+
+    step: int
+    cause: str
+
+    def __str__(self) -> str:
+        return f"step {self.step}: {self.cause}"
 
 
 def initial_filter_state() -> FilterState:

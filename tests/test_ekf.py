@@ -89,7 +89,7 @@ def test_block_innovation_matches_dense_jacobian(conv, k):
 
 
 @pytest.mark.parametrize("conv", (INVARIANT, STANDARD), ids=lambda c: c.name)
-@pytest.mark.parametrize("k", (1, 3))
+@pytest.mark.parametrize("k", (1, 3, 25))  # 25: d > 128, products in row bands
 def test_update_leaves_input_covariance_untouched(conv, k):
     _, state, lin, obs = _setup(60 + k, k)
     before = state.cov.copy()
@@ -102,7 +102,7 @@ def test_update_leaves_input_covariance_untouched(conv, k):
 
 
 @pytest.mark.parametrize("conv", (INVARIANT, STANDARD), ids=lambda c: c.name)
-@pytest.mark.parametrize("k", (0, 1, 3))
+@pytest.mark.parametrize("k", (0, 1, 3, 25))
 def test_block_augmentation_matches_dense_maps(conv, k):
     rng, state, _, _ = _setup(70 + k, k)
     before = state.cov.copy()

@@ -192,7 +192,7 @@ def test_ideal_equals_std_when_estimate_is_truth():
 
 def test_propagated_covariance_matches_dense_jacobian_product():
     rng = np.random.default_rng(14)
-    for k in (1, 3):
+    for k in (1, 3, 25):  # 25: d > 128, products and symmetrization in row bands
         state = random_filter_state(rng, k=k)
         full = rng.normal(size=(6, 6))
         u = Odometry(random_rotation(rng), rng.normal(size=3),
