@@ -101,8 +101,9 @@ def apply_std_error(mean: GroupState, eta: np.ndarray) -> GroupState:
     return STANDARD.retract(mean, eta)
 
 
-def _conditioning_failures(s: np.ndarray) -> dict:
-    """{member: IllConditionedInnovationError} of the (..., 6, 6) stack s.
+def _conditioning_failures(s: np.ndarray, accept=None) -> dict:
+    """{member: IllConditionedInnovationError} of the (..., 6, 6) stack s,
+    among the members accept marks (all by default).
 
     Gershgorin bounds give a cheap sufficient pass: with a positive diagonal
     every eigenvalue lies in [min(2 s_ii - r_i), max(r_i)], r_i the absolute
@@ -112,6 +113,8 @@ def _conditioning_failures(s: np.ndarray) -> dict:
     lo = (2.0 * np.diagonal(s, axis1=-2, axis2=-1) - rowsum).min(axis=-1)
     # strict, so that lo <= 0 (and any nan) fails
     certified = rowsum.max(axis=-1) < COND_LIMIT * lo
+    if accept is not None:
+        certified = certified | ~np.reshape(accept, certified.shape)
     if not _any(~certified):
         return {}
     failures = {}
@@ -366,7 +369,9 @@ class FilterBatch:
     snapshot taken before a step's propagate holds the step's starting
     state. A member marked at_truth takes its Jacobians at the truth
     argument of propagate, innovation and observed_block, the others at
-    their estimate.
+    their estimate. Members are never added or removed: update leaves the
+    members it does not correct as they were, by mask, and a caller that
+    stops reading a member still pays its share of every call.
     """
 
     def __init__(self, conventions, at_truth, rot, pos, cov, feature_ids=()):
@@ -421,35 +426,17 @@ class FilterBatch:
                            self.at(self.cov, i).copy())
 
     def snapshot(self) -> "FilterBatch":
-        """The batch as it is now, sharing its arrays. propagate, initialize
-        and keep replace them, so once one of them has run the snapshot stays
-        as it is; an update before that writes into the covariance it
+        """The batch as it is now, sharing its arrays. propagate and
+        initialize replace them, so once one of them has run the snapshot
+        stays as it is; an update before that writes into the covariance it
         shares."""
         snap = copy.copy(self)
         snap._work = None
         return snap
 
-    def take(self, rows) -> "FilterBatch":
-        """A batch of copies of the given members, in the given order."""
-        rows = list(rows)
-
-        def pick(a):
-            if len(self) == 1:
-                return a.copy()
-            return a[rows[0]].copy() if len(rows) == 1 else a[rows]
-        return FilterBatch([self.conventions[i] for i in rows], self.at_truth[rows],
-                           pick(self.rot), pick(self.pos), pick(self.cov),
-                           self.feature_ids)
-
-    def keep(self, rows) -> None:
-        """Drop every member not in rows."""
-        kept = self.take(rows)
-        self.__init__(kept.conventions, kept.at_truth, kept.rot, kept.pos, kept.cov,
-                      kept.feature_ids)
-
     def _work_buffer(self) -> np.ndarray:
-        # scratch rows of the covariance products; members are dropped only
-        # through keep, which starts without one
+        # scratch rows of the covariance products; the member count never
+        # changes, and initialize drops the buffer when d grows
         d = self.cov.shape[-1]
         if self._work is None or self._work.shape[-1] != d:
             self._work = np.empty(self.cov.shape[:-2] + (min(d, _CHUNK), d))
@@ -549,10 +536,12 @@ class FilterBatch:
         that is not finite or whose condition number exceeds COND_LIMIT, or a
         K y whose squared norm overflows (the retraction would make the
         estimate non-finite). A failing or unaccepted member keeps its state
-        bit for bit. K H P is symmetric up to rounding and is not
-        symmetrized here; propagate and initialize symmetrize once per step.
+        bit for bit: every member's gain is formed in one pass, and the
+        others' rotations, positions and covariance are kept by mask. K H P
+        is symmetric up to rounding and is not symmetrized here; propagate
+        and initialize symmetrize once per step.
         """
-        failures = _conditioning_failures(inn.S)
+        failures = _conditioning_failures(inn.S, accept)
         if accept is None and not failures:
             gain = inn.HP.swapaxes(-1, -2) @ np.linalg.inv(inn.S)
             correction = np.matvec(gain, inn.y)
@@ -560,46 +549,44 @@ class FilterBatch:
             if math.isfinite(flat @ flat):
                 self._correct(gain, inn.HP, correction)
                 return failures
-        # a member is rejected or fails: correct the others one at a time,
-        # each as a batch of its own
-        go = np.ones(len(self), dtype=bool) if accept is None else accept
-        failures = {i: e for i, e in failures.items() if go[i]}
-        kept = []
-        for i in np.flatnonzero(go):
-            if i in failures:
-                continue
-            hp = self.at(inn.HP, i)
-            gain = hp.swapaxes(-1, -2) @ np.linalg.inv(self.at(inn.S, i))
-            correction = np.matvec(gain, self.at(inn.y, i))
-            if not math.isfinite(correction @ correction):
-                failures[i] = FilterDivergedError("non-finite estimate")
-                continue
-            part = self.take([i])
-            part._correct(gain, hp, correction)
-            kept.append((i, part))
-        if kept:
-            if len(self) == 1:
-                (_, part), = kept
-                self.rot, self.pos = part.rot, part.pos
-                self.cov[...] = part.cov
-            else:
-                rot, pos = self.rot.copy(), self.pos.copy()
-                for i, part in kept:
-                    rot[i], pos[i], self.cov[i] = part.rot, part.pos, part.cov
-                self.rot, self.pos = rot, pos
+        # a member is rejected or fails: every gain in one pass, and the
+        # members not corrected are kept by mask
+        lead = self.cov.shape[:-2]
+        go = np.ones(lead, dtype=bool) if accept is None else np.reshape(accept, lead).copy()
+        go.reshape(-1)[list(failures)] = False
+        # one singular S makes inv fail for the whole stack, so a member that
+        # is not corrected gets the identity
+        s = np.where(go[..., None, None], inn.S, np.eye(6))
+        gain = inn.HP.swapaxes(-1, -2) @ np.linalg.inv(s)
+        correction = np.matvec(gain, inn.y)
+        overflow = go & ~np.isfinite(np.vecdot(correction, correction))
+        for i in np.flatnonzero(overflow):
+            failures[i] = FilterDivergedError("non-finite estimate")
+        go &= ~overflow
+        if _any(go):
+            self._correct(gain, inn.HP, correction, go)
         return failures
 
-    def _correct(self, gain, hp, correction) -> None:
-        self.rot, self.pos = _retract(self._moved, self.rot, self.pos, correction)
+    def _correct(self, gain, hp, correction, go=None) -> None:
+        rot, pos = _retract(self._moved, self.rot, self.pos, correction)
+        where = True
+        if go is not None:
+            # the members go leaves out keep their arrays; a zeroed gain would
+            # not, since exp(0) times a rotation can turn -0.0 into +0.0
+            rot = np.where(go[..., None, None, None], rot, self.rot)
+            pos = np.where(go[..., None, None], pos, self.pos)
+            where = go[..., None, None]
+        self.rot, self.pos = rot, pos
         work = self._work_buffer()
         if work.shape[-2] == work.shape[-1]:  # one band
             np.matmul(gain, hp, out=work)
-            np.subtract(self.cov, work, out=self.cov)
+            np.subtract(self.cov, work, out=self.cov, where=where)
             return
         for rows in _chunks(self.cov.shape[-1]):
             band = work[..., :rows.stop - rows.start, :]
             np.matmul(gain[..., rows, :], hp, out=band)
-            self.cov[..., rows, :] -= band
+            part = self.cov[..., rows, :]
+            np.subtract(part, band, out=part, where=where)
 
     def initialize(self, z: PoseObservation) -> None:
         """Augment every member with a first-seen feature (K -> K+1).

@@ -20,8 +20,10 @@ class GateDecision:
 def gate(inn: Innovation) -> GateDecision:
     """Accept only if every innovation component is inside its 3-sigma bound.
 
-    A non-positive-definite S rejects with infinite margins so the caller can
-    log the diagnostic instead of crashing mid-run.
+    An S with a diagonal entry that is not positive rejects with infinite
+    margins, so the caller can log the diagnostic instead of crashing
+    mid-run. Only the diagonal is checked: an S that is not positive
+    definite but has a positive diagonal is gated like any other.
     """
     diag = np.diag(inn.S)
     if np.any(diag <= 0.0):

@@ -150,11 +150,12 @@ def run_filters(specs, steps: dict, truth_states: list | None = None,
     stream's last first sighting of a feature (_capture_window), when the
     state holds every feature the stream observes; with truth_states it is
     anchored at the window's first true state, features in the filter
-    state's order. A filter failure ends that filter's run as diverged, with
-    reason Failure(step, cause), while the others go on. final_state is the
-    estimate of the last trajectory row, so a failure never leaves the
-    failing step's state. A filter's result does not depend on which others
-    share its batch.
+    state's order. A filter failure ends that filter's run as diverged,
+    with reason Failure(step, cause), while the others go on: the failing
+    member stays in its batch row, masked out of every update, and no later
+    step reads its numbers. final_state is the estimate of the last
+    trajectory row, so a failure never leaves the failing step's state. A
+    filter's result does not depend on which others share its batch.
     """
     specs = tuple(specs)
     if any(spec.at_truth for spec in specs) and truth_states is None:
@@ -173,14 +174,14 @@ def run_filters(specs, steps: dict, truth_states: list | None = None,
     members = sorted(results, key=lambda r: (r.spec.convention.name, r.spec.at_truth))
     batch = FilterBatch.start([r.spec.convention for r in members],
                               [r.spec.at_truth for r in members])
-    # the robot poses of every filter, one slot per filter; slots[i] is batch
-    # row i's slot and lengths the number of poses each slot holds
+    # (batch row, result) of each member that has not failed, and the rows
+    # of those that have
+    live, frozen = list(enumerate(members)), []
+    # the robot poses of every member, and how many of them each keeps
     num_steps = max(steps, default=-1)
-    slot_results = list(members)
     traj_rot = np.empty((len(members), num_steps + 1, 3, 3))
     traj_pos = np.empty((len(members), num_steps + 1, 3))
-    slots = np.arange(len(members))
-    lengths = np.zeros(len(members), dtype=int)
+    lengths = [num_steps + 1] * len(members)
     world = ({fid: i for i, fid in enumerate(truth_states[0].feature_ids)}
              if truth_states else {})
     # running sums of the body-frame increments between recorded estimates;
@@ -201,35 +202,24 @@ def run_filters(specs, steps: dict, truth_states: list | None = None,
     truth = truth_at(0) if num_steps >= 0 else None
 
     def freeze(failures: dict, step: int, before) -> None:
-        # before is the batch and its slots at the step's start, or None when
-        # the failing member's own state at the step's end is its last
-        nonlocal slots, increment_sum, last_pose
+        # before is the batch at the step's start, or None when the failing
+        # member's own state at the step's end is its last
+        nonlocal live, frozen
         for i, exc in failures.items():
-            res = members[i]
-            res.reason = Failure(step, str(exc))
-            if before is None:
-                res.final_state = batch.member(i)
-                lengths[slots[i]] = step + 1
-            else:
-                res.final_state = before[0].member(
-                    int(np.flatnonzero(before[1] == slots[i])[0]))
-                lengths[slots[i]] = step
-        keep = [i for i in range(len(members)) if i not in failures]
-        if keep:
-            rows = keep if len(keep) > 1 else keep[0]
-            increment_sum = increment_sum[rows]
-            if last_pose is not None:
-                last_pose = tuple(a[rows] for a in last_pose)
-            batch.keep(keep)
-        members[:] = [members[i] for i in keep]
-        slots = slots[keep]
+            members[i].reason = Failure(step, str(exc))
+            members[i].final_state = (batch if before is None else before).member(i)
+            lengths[i] = step + 1 if before is None else step
+        live = [(i, res) for i, res in enumerate(members) if not res.diverged]
+        frozen = [i for i, res in enumerate(members) if res.diverged]
 
     # an overflow becomes a diverged run with its cause (below), so numpy's
     # own warnings about it would only repeat that cause
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(num_steps + 1):
+            if not live:
+                break
             rec = steps.get(step, no_records)
-            before = batch.snapshot(), slots
+            before = batch.snapshot()
             if step > 0:
                 u = rec.odometry
                 if u is None:
@@ -241,7 +231,7 @@ def run_filters(specs, steps: dict, truth_states: list | None = None,
                         increment_sum, increments, synth_noise_cov)
                 # F entries are the transitions out of the window's steps
                 if step - 1 in window:
-                    for i, res in enumerate(members):
+                    for i, res in live:
                         u_i = Odometry(u.rot, u.pos if u.pos.ndim == 1 else u.pos[i],
                                        u.noise_cov)
                         res.jacobian_log.F.append(res.spec.convention.propagation_jacobians(
@@ -251,7 +241,7 @@ def run_filters(specs, steps: dict, truth_states: list | None = None,
                 batch.propagate(u, truth)
                 truth = truth_at(step)
             if step in window:
-                for i, res in enumerate(members):
+                for i, res in live:
                     _capture_h(res, batch.member_mean(i), rec.observations, step,
                                window.start, truth_states)
             for z in rec.observations:
@@ -260,8 +250,8 @@ def run_filters(specs, steps: dict, truth_states: list | None = None,
                     truth = truth_at(step)
                     continue
                 inn = batch.innovation(z, truth)
-                accept, rejected = None, []  # None: every member
-                for i, res in enumerate(members):
+                rejected = []
+                for i, res in live:
                     if res.spec.robust:
                         decision = gate(Innovation(batch.at(inn.y, i), batch.at(inn.S, i),
                                                    batch.at(inn.HP, i)))
@@ -269,16 +259,17 @@ def run_filters(specs, steps: dict, truth_states: list | None = None,
                                           float(np.max(decision.margins))))
                         if not decision.accepted:
                             rejected.append(i)
-                if rejected:
+                accept = None  # None: every member
+                if rejected or frozen:
+                    if len(rejected) == len(live):
+                        continue  # no member to correct
                     accept = np.ones(len(members), dtype=bool)
-                    accept[rejected] = False
+                    accept[rejected + frozen] = False
                 failures = batch.update(inn, accept)
                 if failures:
                     freeze(failures, step, before)
-                    if not members:
+                    if not live:
                         break
-            if not members:
-                break
             before = None  # from here on a failing member's last state is its own
             robot_rot, robot_pos = batch.rot[..., 0, :, :], batch.pos[..., 0, :]
             if synth_noise_cov is not None and last_pose is not None:
@@ -287,22 +278,17 @@ def run_filters(specs, steps: dict, truth_states: list | None = None,
                 increment_sum = delta if increments == 0 else increment_sum + delta
                 increments += 1
             last_pose = robot_rot, robot_pos
-            if len(slots) == len(slot_results):
-                traj_rot[:, step], traj_pos[:, step] = robot_rot, robot_pos
-            else:
-                traj_rot[slots, step], traj_pos[slots, step] = robot_rot, robot_pos
+            traj_rot[:, step], traj_pos[:, step] = robot_rot, robot_pos
             if step in eval_steps or step == num_steps:
-                failures = _evaluate(batch, members, step, truth_states,
-                                     step in eval_steps)
+                failures = _evaluate(batch, live, step, truth_states, step in eval_steps)
                 if failures:
                     freeze(failures, step, None)
-    for i, res in enumerate(members):
+    for i, res in live:
         # views: the batch's buffers go with it
         res.final_state = FilterState(batch.member_mean(i), batch.at(batch.cov, i))
-    lengths[slots] = num_steps + 1
-    for slot, res in enumerate(slot_results):
-        n = lengths[slot]
-        res.trajectory = list(zip(traj_rot[slot, :n], traj_pos[slot, :n]))
+    for i, res in enumerate(members):
+        n = lengths[i]
+        res.trajectory = list(zip(traj_rot[i, :n], traj_pos[i, :n]))
         if n:
             # the final state's robot pose is the last trajectory row
             mean, (rot, pos) = res.final_state.mean, res.trajectory[-1]
@@ -315,14 +301,14 @@ def run_filters(specs, steps: dict, truth_states: list | None = None,
     return results
 
 
-def _evaluate(batch: FilterBatch, members: list, step: int,
+def _evaluate(batch: FilterBatch, live: list, step: int,
               truth_states: list | None, sample: bool) -> dict:
-    """{batch row: error} of the members whose state fails the divergence
-    check (against truth when given) or, with sample, the metric sampling
-    that adds to their results."""
+    """{batch row: error} of the live (batch row, result) members whose
+    state fails the divergence check (against truth when given) or, with
+    sample, the metric sampling that adds to their results."""
     failures = {}
     truth = truth_states[step] if truth_states else None
-    for i, res in enumerate(members):
+    for i, res in live:
         state = FilterState(batch.member_mean(i), batch.at(batch.cov, i))
         try:
             _check_divergence(state, truth)

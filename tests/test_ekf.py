@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from objectslam.ekf import INVARIANT, STANDARD
+from objectslam.ekf import INVARIANT, STANDARD, FilterBatch
 from objectslam.group import (GroupState, group_compose, group_exp, pos_block,
                               rot_block, split_tangent, tangent_dim)
 from objectslam.lie import batch_so3_log, skew, so3_exp, so3_log
-from objectslam.types import Odometry, PoseObservation, symmetrize
+from objectslam.types import FilterState, Odometry, PoseObservation, symmetrize
 
 from test_riekf import random_filter_state
 
@@ -194,3 +194,48 @@ def test_updates_keep_covariance_symmetric_without_symmetrizing(conv):
                  np.diag(rng.uniform(0.01, 0.05, size=6) ** 2))
     prop = conv.propagate(state, u)
     assert np.array_equal(prop.cov, prop.cov.T)
+
+
+def _state_bytes(state):
+    return [a.tobytes() for a in (state.mean.rotations, state.mean.positions, state.cov)]
+
+
+@pytest.mark.parametrize("conv", (INVARIANT, STANDARD), ids=lambda c: c.name)
+@pytest.mark.parametrize("k", (1, 25))  # 25: d > 128, products in row bands
+@pytest.mark.parametrize("accept", ((True, False), (False, True)))
+def test_update_keeps_a_member_it_does_not_correct_bit_for_bit(conv, k, accept):
+    # signed zeros in the mean, which a zero correction would turn to +0.0;
+    # the corrected member matches its own one-member update bit for bit
+    _, state, _, obs = _setup(90 + k, k)
+    rot, pos = state.mean.rotations.copy(), state.mean.positions.copy()
+    rot[1] = [[0.6, -0.8, -0.0], [0.8, 0.6, -0.0], [-0.0, -0.0, 1.0]]
+    pos[0, 0] = pos[1, 2] = -0.0
+    mean = GroupState(rot[0], pos[0], rot[1:], pos[1:], state.mean.feature_ids)
+    state = FilterState(mean, state.cov)
+    batch = FilterBatch((conv, conv), (False, False), np.stack([rot, rot]),
+                        np.stack([pos, pos]), np.stack([state.cov, state.cov]),
+                        mean.feature_ids)
+    z = obs[-1]
+    assert batch.update(batch.innovation(z), np.array(accept)) == {}
+    corrected = conv.apply_update(state, conv.innovation(state, z))
+    for i, accepted in enumerate(accept):
+        expected = corrected if accepted else state
+        assert _state_bytes(batch.member(i)) == _state_bytes(expected)
+
+
+@pytest.mark.parametrize("conv", (INVARIANT, STANDARD), ids=lambda c: c.name)
+def test_a_member_with_a_singular_s_fails_alone(conv):
+    # zero covariance and zero observation noise: member 1's S is the zero
+    # matrix, which would make one batched inverse fail for both members
+    _, state, _, obs = _setup(95, 2)
+    z = PoseObservation(obs[-1].feature_id, obs[-1].rot, obs[-1].pos, np.zeros((6, 6)))
+    mean = state.mean
+    zero = FilterState(mean, np.zeros_like(state.cov))
+    batch = FilterBatch((conv, conv), (False, False), np.stack([mean.rotations] * 2),
+                        np.stack([mean.positions] * 2), np.stack([state.cov, zero.cov]),
+                        mean.feature_ids)
+    failures = batch.update(batch.innovation(z))
+    assert list(failures) == [1] and "condition number" in str(failures[1])
+    corrected = conv.apply_update(state, conv.innovation(state, z))
+    assert _state_bytes(batch.member(0)) == _state_bytes(corrected)
+    assert _state_bytes(batch.member(1)) == _state_bytes(zero)

@@ -10,6 +10,7 @@ import pytest
 
 import scalar_reference
 from objectslam import harness
+from objectslam.ekf import STANDARD
 from objectslam.group import GroupState
 from objectslam.errors import (LogDomainError, MissingOdometryError,
                                SingularCovarianceError)
@@ -20,7 +21,7 @@ from objectslam.harness import (FilterSpec, RunConfig, inject_outliers,
 from objectslam.lie import random_rotation, so3_log
 from objectslam.logio import (ReplayStep, read_measurement_log,
                               write_jacobian_log, write_measurement_log)
-from objectslam.metrics import rmse, standard_error_vector
+from objectslam.metrics import collect_samples, rmse, standard_error_vector
 from objectslam.observability import check_null_space
 from objectslam.oracles import jacobian_check_suite
 from objectslam.simulator import SimConfig, generate_world, simulate_run
@@ -121,6 +122,108 @@ def test_a_filter_runs_alike_beside_one_that_diverges():
     for batch in (run_filters(specs[:2], steps), run_filters(specs, steps)):
         for res, ref in zip(batch, alone):
             assert_same_result(res, ref)
+
+
+# batch rows hold the invariant members first, then the standard ones, each
+# in spec order; riekf and stdekf diverge on the outlier, the robust members
+# reject it
+DIVERGING_ROWS = {
+    "first": ("riekf", "robust-riekf", "robust-stdekf"),
+    "middle": ("robust-riekf", "riekf", "robust-stdekf"),
+    "last": ("robust-stdekf", "robust-riekf", "stdekf"),
+}
+
+
+def spec_of(name):
+    return FilterSpec(name.removeprefix("robust-"), robust=name.startswith("robust-"))
+
+
+@pytest.mark.parametrize("row", sorted(DIVERGING_ROWS))
+def test_a_filter_runs_alike_beside_one_that_diverges_in_any_row(row):
+    cfg, run = small_sim(seed=1)
+    obs = [list(o) for o in run.observations]
+    step = next(s for s in range(40, len(obs)) if obs[s])
+    z = obs[step][0]
+    obs[step][0] = PoseObservation(z.feature_id, z.rot, z.pos + 1e200, z.noise_cov)
+    steps = simulated_steps(run.odometry, obs)
+    specs = [spec_of(name) for name in DIVERGING_ROWS[row]]
+    batch = run_filters(specs, steps)
+    assert [res.spec for res in batch] == specs
+    for res in batch:
+        assert res.diverged != res.spec.robust
+        assert len(res.trajectory) == (len(obs) if res.spec.robust else step)
+        assert_same_result(res, run_filter(res.spec, steps))
+
+
+def test_filters_that_fail_in_one_update_run_alike_in_a_batch():
+    # every member's S has condition number 1e20 at step 5, so all three
+    # freeze in the same update
+    steps, _ = corridor_steps(num_steps=12)
+    synth_cov = np.diag([0.02] * 3 + [0.05] * 3) ** 2
+    bad = np.diag([1e20] + [1.0] * 5)
+    steps[5].observations = [PoseObservation(z.feature_id, z.rot, z.pos, bad)
+                             for z in steps[5].observations]
+    specs = [FilterSpec("stdekf"), FilterSpec("riekf", robust=True), FilterSpec("riekf")]
+    for res in run_filters(specs, steps, synth_noise_cov=synth_cov):
+        assert str(res.reason).startswith("step 5: ")
+        assert len(res.trajectory) == 5
+        assert_same_result(res, run_filter(res.spec, steps, synth_noise_cov=synth_cov))
+
+
+def test_a_filter_frozen_at_an_evaluated_step_runs_alike_in_a_batch():
+    # an observation 1e5 off with a tiny claimed noise, three steps before
+    # the evaluated step 40: riekf follows it and fails the error-norm check
+    # there, while robust-riekf rejects it and runs on
+    cfg, run = small_sim(seed=4, loops=1)
+    obs = [list(o) for o in run.observations]
+    z = obs[37][0]
+    obs[37][0] = PoseObservation(z.feature_id, z.rot, z.pos + 1e5, 1e-6 * np.eye(6))
+    steps, truth = simulated_steps(run.odometry, obs), run.trace.states
+    eval_steps = {20, 40, 60}
+    specs = [FilterSpec("riekf"), FilterSpec("riekf", robust=True)]
+    alone = [run_filter(spec, steps, truth, eval_steps) for spec in specs]
+    assert str(alone[0].reason).startswith("step 40: error norm")
+    assert len(alone[0].trajectory) == 41 and list(alone[0].metric_samples) == [20]
+    assert not alone[1].diverged and len(alone[1].trajectory) == len(obs)
+    assert list(alone[1].metric_samples) == [20, 40, 60]
+    for res, ref in zip(run_filters(specs, steps, truth, eval_steps), alone):
+        assert_same_result(res, ref)
+        assert res.metric_samples.keys() == ref.metric_samples.keys()
+        for step, blocks in res.metric_samples.items():
+            for name, arrays in blocks.items():
+                for a, b in zip(arrays, ref.metric_samples[step][name], strict=True):
+                    assert a.tobytes() == b.tobytes()
+
+
+def test_a_robust_filter_frozen_in_a_batch_stops_gating_and_capturing(monkeypatch):
+    # metric sampling fails for the standard convention at step 15, inside
+    # the capture window: robust-stdekf freezes there, and its gates, its
+    # Jacobian log and its metric samples stop as in its alone run, while
+    # robust-riekf runs on
+    def failing_sample(truth, state, conv):
+        if conv is STANDARD:
+            raise LogDomainError("rotation angle at pi")
+        return collect_samples(truth, state, conv)
+
+    monkeypatch.setattr(harness, "collect_samples", failing_sample)
+    run, obs = late_feature_run()
+    steps, truth = simulated_steps(run.odometry, obs), run.trace.states
+    steps, _ = inject_outliers(steps, 0.1, 20.0, np.random.default_rng(2))
+    eval_steps = {15, 25, 40}
+    specs = [FilterSpec("stdekf", robust=True), FilterSpec("riekf", robust=True)]
+    alone = [run_filter(spec, steps, truth, eval_steps, jacobian_steps=20)
+             for spec in specs]
+    assert str(alone[0].reason) == "step 15: rotation angle at pi"
+    assert not alone[1].diverged and alone[1].rejected
+    for res, ref in zip(run_filters(specs, steps, truth, eval_steps, jacobian_steps=20),
+                        alone):
+        assert_same_result(res, ref)
+        assert res.metric_samples.keys() == ref.metric_samples.keys()
+        for mine, theirs in ((res.jacobian_log.F, ref.jacobian_log.F),
+                             (res.jacobian_log.H, ref.jacobian_log.H)):
+            assert len(mine) == len(theirs)
+            for a, b in zip(mine, theirs):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 def test_filters_match_the_scalar_reference():
@@ -389,6 +492,24 @@ def test_mid_stream_filter_failure_is_diverged_with_its_step():
     assert "condition number" in str(result.reason)
     assert len(result.trajectory) == 5
     assert replay_metrics(steps, result)["robot_pos_rmse"] < 0.1
+
+
+def test_a_run_that_fails_at_an_evaluated_step_ends_there(monkeypatch):
+    # metric sampling fails at step 4 and step 5's S is unusable: the run
+    # ends at step 4, and no later step is filtered
+    def failing_sample(truth, state, conv):
+        raise LogDomainError("rotation angle at pi")
+
+    monkeypatch.setattr(harness, "collect_samples", failing_sample)
+    steps, truth = corridor_steps(num_steps=12)
+    synth_cov = np.diag([0.02] * 3 + [0.05] * 3) ** 2
+    bad = np.diag([1e20] + [1.0] * 5)
+    steps[5].observations = [PoseObservation(z.feature_id, z.rot, z.pos, bad)
+                             for z in steps[5].observations]
+    result = run_filter(FilterSpec("riekf"), steps, truth, eval_steps={4},
+                        synth_noise_cov=synth_cov)
+    assert str(result.reason) == "step 4: rotation angle at pi"
+    assert len(result.trajectory) == 5
 
 
 @pytest.mark.parametrize("kind", ["riekf", "stdekf"])
